@@ -6,6 +6,11 @@ on beta's vertices.  Applying the move replaces every facet through alpha by
 ``beta + alpha - v`` over the vertices v of alpha.  Moves of type i with
 0 < i < dim are proper and leave the vertex count unchanged; a dim-move
 deletes a vertex and starring a vertex in a facet is its inverse.
+
+Preconditions are checked once per public call, never in inner loops:
+bistellar moves preserve the PL type, so a pseudomanifold or 3-manifold
+stays one.  `random_three_sphere` checks nothing, as its complexes are
+spheres by construction.  Detection works on face masks throughout.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from . import recognition
-from .core import Face, PreconditionError, SimplicialComplex, _label_key, from_facets
+from .core import Face, PreconditionError, SimplicialComplex, _iter_bits, _label_key, from_facets
 from .isomorphism import canonical_form
 
 
@@ -51,24 +57,27 @@ BETA_IS_FACE = "beta is a face"
 LINK_NOT_BOUNDARY = "link is not a standard sphere boundary"
 
 
+def _classify_mask(K: SimplicialComplex, sigma: int) -> tuple[str, int]:
+    """`classify_face` on the face mask sigma; beta is 0 when the link fails."""
+    link = K.link_masks(sigma)
+    size = K.dim - sigma.bit_count() + 2  # i + 1 for an i-move
+    beta = 0
+    for m in link:
+        beta |= m
+    # `size` distinct (size-1)-subsets of a size-set are all of its facets
+    if len(link) == size == beta.bit_count() and all(m.bit_count() == size - 1 for m in link):
+        return (BETA_IS_FACE if K.has_face_mask(beta) else REMOVABLE), beta
+    return LINK_NOT_BOUNDARY, 0
+
+
 def classify_face(K: SimplicialComplex, alpha: Face) -> tuple[str, frozenset[str] | None]:
     """Whether alpha is removable; on failure, why not.
 
     Returns (status, beta): status is REMOVABLE with the opposing face, or
     BETA_IS_FACE with the offending face, or LINK_NOT_BOUNDARY with None.
     """
-    link = K.link(alpha)
-    i = K.dim - (len(frozenset(str(v) for v in alpha)) - 1)
-    if link.vertex_count != i + 1 or len(link.facet_masks) != i + 1:
-        return LINK_NOT_BOUNDARY, None
-    full = (1 << link.vertex_count) - 1
-    expected = sorted(full ^ (1 << b) for b in range(link.vertex_count))
-    if list(link.facet_masks) != expected:
-        return LINK_NOT_BOUNDARY, None
-    beta = frozenset(link.labels)
-    if K.has_face(beta):
-        return BETA_IS_FACE, beta
-    return REMOVABLE, beta
+    status, beta = _classify_mask(K, K._face_mask(alpha))
+    return status, (K.face_labels(beta) if beta else None)
 
 
 def removable_faces(K: SimplicialComplex, i: int) -> list[BistellarMove]:
@@ -78,12 +87,17 @@ def removable_faces(K: SimplicialComplex, i: int) -> list[BistellarMove]:
         raise PreconditionError(f"move type {i} out of range 1..{d}")
     if not recognition.is_pseudomanifold(K):
         raise PreconditionError("move detection needs a pseudomanifold")
+    return _moves(K, [i])
+
+
+def _moves(K: SimplicialComplex, types: Iterable[int]) -> list[BistellarMove]:
+    """The moves of the given types, sorted; the caller has checked K."""
     moves = []
-    for am in K.faces_masks(d - i):
-        alpha = K.face_labels(am)
-        status, beta = classify_face(K, alpha)
-        if status == REMOVABLE:
-            moves.append(BistellarMove(alpha, beta, i))
+    for i in types:
+        for am in K.faces_masks(K.dim - i):
+            status, beta = _classify_mask(K, am)
+            if status == REMOVABLE:
+                moves.append(BistellarMove(K.face_labels(am), K.face_labels(beta), i))
     moves.sort(key=BistellarMove.sort_key)
     return moves
 
@@ -92,13 +106,13 @@ def apply_move(K: SimplicialComplex, move: BistellarMove) -> SimplicialComplex:
     """Apply a validated move; stale moves are rejected."""
     if not K.has_face(move.alpha):
         raise PreconditionError(f"stale move: {move.describe()} (alpha is not a face)")
-    status, beta = classify_face(K, move.alpha)
-    if status != REMOVABLE or beta != frozenset(move.beta):
+    am = K.mask_of(move.alpha)
+    status, beta = _classify_mask(K, am)
+    if status != REMOVABLE or K.face_labels(beta) != frozenset(move.beta):
         raise PreconditionError(f"stale move: {move.describe()} ({status})")
-    alpha = frozenset(str(v) for v in move.alpha)
-    kept = [f for f in K.facets() if not alpha <= f]
-    added = [beta | alpha - {v} for v in alpha]
-    return from_facets(kept + added)
+    kept = [f for f in K.facet_masks if f & am != am]
+    added = [beta | (am ^ (1 << b)) for b in _iter_bits(am)]
+    return SimplicialComplex._from_masks(kept + added, K.labels)
 
 
 def star_vertex(K: SimplicialComplex, facet: Face, label) -> SimplicialComplex:
@@ -118,28 +132,25 @@ def star_vertex(K: SimplicialComplex, facet: Face, label) -> SimplicialComplex:
 
 
 def vertex_degrees(K: SimplicialComplex) -> dict[str, int]:
-    return {v: K.degree([v]) for v in K.labels}
+    """Link vertex counts: the popcount of the union of a vertex's facets, less 1."""
+    union = [0] * K.vertex_count
+    for f in K.facet_masks:
+        for b in _iter_bits(f):
+            union[b] |= f
+    return {v: union[b].bit_count() - 1 for b, v in enumerate(K.labels)}
 
 
 def degree_raising_moves(K: SimplicialComplex, u) -> list[BistellarMove]:
     """Every 1-move creating an edge at u: exhaustive over triangles of lk(u)."""
     if K.dim != 3:
         raise PreconditionError("degree raising is a dimension-3 operation")
-    u = str(u)
-    link = K.link([u])
     moves = []
-    for tm in link.facet_masks:
-        tri = link.face_labels(tm)
-        opposite = K.link(tri)
-        others = set(opposite.labels) - {u}
-        if len(opposite.labels) != 2 or len(others) != 1:
-            continue
-        x = next(iter(others))
-        if K.has_face({u, x}):
-            continue
-        status, beta = classify_face(K, tri)
-        if status == REMOVABLE and beta == frozenset({u, x}):
-            moves.append(BistellarMove(tri, beta, 1))
+    # lk(tri) holds the point u, so only a triangle can be removable, and its
+    # beta is the new edge {u, x}
+    for tri in K.link_masks(K.mask_of([u])):
+        status, beta = _classify_mask(K, tri)
+        if status == REMOVABLE:
+            moves.append(BistellarMove(K.face_labels(tri), K.face_labels(beta), 1))
     moves.sort(key=BistellarMove.sort_key)
     return moves
 
@@ -156,6 +167,11 @@ def raise_min_degree(K: SimplicialComplex) -> BistellarMove:
         raise PreconditionError(f"degree raising is guaranteed only for n <= 9, got {n}")
     if not recognition.is_combinatorial_3_manifold(K):
         raise PreconditionError("degree raising needs a combinatorial 3-manifold")
+    return _raise_min_degree(K)
+
+
+def _raise_min_degree(K: SimplicialComplex) -> BistellarMove:
+    n = K.vertex_count
     degrees = vertex_degrees(K)
     k = min(degrees.values())
     if k > n - 2:
@@ -187,7 +203,7 @@ def neighbourly_reduction(
     while not recognition.is_neighbourly(current):
         if len(moves) >= budget:
             raise LemmaViolation("reduction exceeded the edge-count budget")
-        move = raise_min_degree(current)
+        move = _raise_min_degree(current)
         current = apply_move(current, move)
         moves.append(move)
     return current, moves
@@ -197,12 +213,10 @@ def neighbourly_reduction(
 
 
 def proper_moves(K: SimplicialComplex) -> list[BistellarMove]:
-    d = K.dim
-    moves: list[BistellarMove] = []
-    for i in range(1, d):
-        moves.extend(removable_faces(K, i))
-    moves.sort(key=BistellarMove.sort_key)
-    return moves
+    """All i-moves with 0 < i < dim on the pseudomanifold K."""
+    if K.dim > 1 and not recognition.is_pseudomanifold(K):
+        raise PreconditionError("move detection needs a pseudomanifold")
+    return _moves(K, range(1, K.dim))
 
 
 def flip_reachable(
@@ -225,12 +239,14 @@ def flip_reachable(
     start = canonical_form(K).bytes
     if start == target:
         return True, []
+    if K.dim > 1 and not recognition.is_pseudomanifold(K):
+        raise PreconditionError("move detection needs a pseudomanifold")
     seen = {start}
     frontier: list[tuple[SimplicialComplex, list[BistellarMove]]] = [(K, [])]
     for _ in range(move_budget):
         next_frontier: list[tuple[SimplicialComplex, list[BistellarMove]]] = []
         for current, path in frontier:
-            for move in proper_moves(current):
+            for move in _moves(current, range(1, current.dim)):
                 after = apply_move(current, move)
                 digest = canonical_form(after).bytes
                 if digest in seen:
@@ -265,7 +281,7 @@ def random_three_sphere(
     next_label = 6
 
     def random_proper_step(current: SimplicialComplex) -> SimplicialComplex:
-        moves = proper_moves(current)
+        moves = _moves(current, range(1, current.dim))
         if not moves:
             return current
         return apply_move(current, rng.choice(moves))

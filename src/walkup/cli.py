@@ -316,7 +316,8 @@ def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument(
         "--threads", type=int,
         help="worker cap for the censuses (default from WALKUP_THREADS)",
-        **(kwargs or {"default": int(os.environ.get("WALKUP_THREADS", "1"))}),
+        # argparse converts a string default only when the flag is absent; bad values exit 1
+        **(kwargs or {"default": os.environ.get("WALKUP_THREADS", "1")}),
     )
 
 

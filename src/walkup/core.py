@@ -66,11 +66,12 @@ class SimplicialComplex:
     in 0..n-1 following the canonical label order.
     """
 
-    __slots__ = ("facet_masks", "labels", "_index", "_faces_cache")
+    __slots__ = ("facet_masks", "labels", "dim", "_index", "_faces_cache")
 
     def __init__(self, facet_masks: tuple[int, ...], labels: tuple[str, ...]):
         self.facet_masks = facet_masks
         self.labels = labels
+        self.dim = max((m.bit_count() for m in facet_masks), default=0) - 1
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._faces_cache: dict[int, tuple[int, ...]] = {}
 
@@ -100,12 +101,6 @@ class SimplicialComplex:
         return len(self.labels)
 
     @property
-    def dim(self) -> int:
-        if not self.facet_masks:
-            return -1
-        return max(m.bit_count() for m in self.facet_masks) - 1
-
-    @property
     def is_pure(self) -> bool:
         sizes = {m.bit_count() for m in self.facet_masks}
         return len(sizes) <= 1
@@ -126,6 +121,13 @@ class SimplicialComplex:
 
     def has_face_mask(self, mask: int) -> bool:
         return mask != 0 and any(f & mask == mask for f in self.facet_masks)
+
+    def _face_mask(self, face: Face) -> int:
+        """The mask of `face`, which must be a face of the complex."""
+        sigma = self.mask_of(face)
+        if not self.has_face_mask(sigma):
+            raise PreconditionError(f"{sorted(self.face_labels(sigma))} is not a face")
+        return sigma
 
     def has_face(self, face: Face) -> bool:
         try:
@@ -169,35 +171,29 @@ class SimplicialComplex:
 
     # -- derived complexes --------------------------------------------------
 
+    def link_masks(self, sigma: int) -> list[int]:
+        """Facet masks of the link of the face `sigma`, over this complex's ids:
+        an antichain as they stand, since the facets through sigma are one."""
+        return [f & ~sigma for f in self.facet_masks if f & sigma == sigma and f != sigma]
+
     def link(self, face: Face) -> "SimplicialComplex":
         """Faces disjoint from `face` whose union with it is again a face.
 
         The link of a facet is the empty complex, which is a legitimate
         value here rather than an error.
         """
-        sigma = self.mask_of(face)
-        if not self.has_face_mask(sigma):
-            raise PreconditionError(f"{sorted(self.face_labels(sigma))} is not a face")
-        return self._from_masks(
-            (f & ~sigma for f in self.facet_masks if f & sigma == sigma), self.labels
-        )
+        return self._from_masks(self.link_masks(self._face_mask(face)), self.labels)
 
     def star(self, face: Face) -> "SimplicialComplex":
-        sigma = self.mask_of(face)
-        if not self.has_face_mask(sigma):
-            raise PreconditionError(f"{sorted(self.face_labels(sigma))} is not a face")
-        return self._from_masks(
-            (f for f in self.facet_masks if f & sigma == sigma), self.labels
-        )
+        sigma = self._face_mask(face)
+        return self._from_masks((f for f in self.facet_masks if f & sigma == sigma), self.labels)
 
     def induced_subcomplex(self, vertices: Face) -> "SimplicialComplex":
         umask = self.mask_of(vertices)
         return self._from_masks((f & umask for f in self.facet_masks), self.labels)
 
     def simplicial_complement(self, face: Face) -> "SimplicialComplex":
-        sigma = self.mask_of(face)
-        if not self.has_face_mask(sigma):
-            raise PreconditionError(f"{sorted(self.face_labels(sigma))} is not a face")
+        sigma = self._face_mask(face)
         rest = ((1 << self.vertex_count) - 1) & ~sigma
         if rest == 0:
             raise PreconditionError("complement of the full vertex set is empty")

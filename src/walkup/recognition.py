@@ -15,6 +15,8 @@ simplicial complement with at most six vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Iterator, Sequence
 
 from .core import PreconditionError, SimplicialComplex, _iter_bits
 
@@ -57,11 +59,12 @@ def _purity_witness(K: SimplicialComplex) -> int | None:
     return None
 
 
-def _skeleton_connected(K: SimplicialComplex) -> bool:
-    if not K.facet_masks:
+def _connected(masks: Sequence[int]) -> bool:
+    """Whether the faces form one component when faces sharing a vertex meet."""
+    if not masks:
         return True
-    reached = K.facet_masks[0]
-    pending = [m for m in K.facet_masks[1:]]
+    reached = masks[0]
+    pending = list(masks[1:])
     progress = True
     while pending and progress:
         progress = False
@@ -124,16 +127,23 @@ def is_pseudomanifold(K: SimplicialComplex) -> bool:
     return pseudomanifold_witness(K) is None
 
 
-def _is_single_cycle(L: SimplicialComplex) -> bool:
-    if L.dim != 1 or not L.is_pure or L.vertex_count < 3:
+def _is_two_sphere_masks(masks: Sequence[int]) -> bool:
+    """Whether distinct triangle masks (any vertex ids) form a 2-sphere: every
+    edge in two triangles, so each vertex link is a cycle once connected; the
+    whole connected; and Euler characteristic 2."""
+    edges: dict[int, int] = {}
+    used = 0
+    for t in masks:
+        if t.bit_count() != 3:
+            return False
+        used |= t
+        for b in _iter_bits(t):
+            edges[t ^ (1 << b)] = edges.get(t ^ (1 << b), 0) + 1
+    if used.bit_count() - len(edges) + len(masks) != 2 or any(c != 2 for c in edges.values()):
         return False
-    if len(L.facet_masks) != L.vertex_count:
-        return False
-    deg = [0] * L.vertex_count
-    for em in L.facet_masks:
-        for b in _iter_bits(em):
-            deg[b] += 1
-    return all(d == 2 for d in deg) and _skeleton_connected(L)
+    return _connected(masks) and all(
+        _connected([t ^ (1 << b) for t in masks if t >> b & 1]) for b in _iter_bits(used)
+    )
 
 
 def closed_surface_witness(K: SimplicialComplex) -> frozenset[str] | None:
@@ -145,10 +155,11 @@ def closed_surface_witness(K: SimplicialComplex) -> frozenset[str] | None:
     for em, c in _ridge_counts(K).items():
         if c != 2:
             return K.face_labels(em)
-    for v in K.labels:
-        if not _is_single_cycle(K.link([v])):
+    # every edge lies in two triangles, so a vertex link is a cycle when connected
+    for b, v in enumerate(K.labels):
+        if not _connected(K.link_masks(1 << b)):
             return frozenset([v])
-    if not _skeleton_connected(K):
+    if not _connected(K.facet_masks):
         return K.face_labels(K.facet_masks[0])
     return None
 
@@ -157,18 +168,21 @@ def is_two_sphere(K: SimplicialComplex) -> bool:
     """Closed connected surface with Euler characteristic 2."""
     if K.dim != 2:
         raise PreconditionError(f"two-sphere test needs dimension 2, got {K.dim}")
-    return closed_surface_witness(K) is None and K.euler_characteristic() == 2
+    return _is_two_sphere_masks(K.facet_masks)
 
 
-def _two_sphere_quietly(K: SimplicialComplex) -> bool:
-    return K.dim == 2 and closed_surface_witness(K) is None and K.euler_characteristic() == 2
+def _singular(K: SimplicialComplex) -> Iterator[str]:
+    """The vertices whose links are not 2-spheres, in label order."""
+    return (
+        v for b, v in enumerate(K.labels) if not _is_two_sphere_masks(K.link_masks(1 << b))
+    )
 
 
 def is_combinatorial_3_manifold(K: SimplicialComplex) -> bool:
     """Every vertex link is a 2-sphere (complete in dimension 3)."""
     if K.dim != 3:
         raise PreconditionError(f"3-manifold test needs dimension 3, got {K.dim}")
-    return all(_two_sphere_quietly(K.link([v])) for v in K.labels)
+    return next(_singular(K), None) is None
 
 
 def is_neighbourly(K: SimplicialComplex) -> bool:
@@ -176,18 +190,15 @@ def is_neighbourly(K: SimplicialComplex) -> bool:
     size = K.dim // 2 + 1
     if size < 1 or K.vertex_count < size:
         return True
-    from itertools import combinations
-
-    return all(K.has_face(c) for c in combinations(K.labels, size))
+    return non_neighbourly_witness(K) is None
 
 
 def non_neighbourly_witness(K: SimplicialComplex) -> frozenset[str] | None:
-    from itertools import combinations
-
     size = K.dim // 2 + 1
-    for c in combinations(K.labels, size):
-        if not K.has_face(c):
-            return frozenset(c)
+    for c in combinations(range(K.vertex_count), size):
+        mask = sum(1 << b for b in c)
+        if not K.has_face_mask(mask):
+            return K.face_labels(mask)
     return None
 
 
@@ -197,7 +208,7 @@ def singular_vertices(K: SimplicialComplex) -> list[str]:
         raise PreconditionError("singular vertex scan needs dimension 3")
     if not is_pseudomanifold(K):
         raise PreconditionError("singular vertex scan needs a pseudomanifold")
-    return [v for v in K.labels if not _two_sphere_quietly(K.link([v]))]
+    return list(_singular(K))
 
 
 # -- collapsibility -----------------------------------------------------------
@@ -279,7 +290,7 @@ def certify_sphere_via_complement(
 
     False means "no certificate found", never "proved non-sphere".
     """
-    if X.dim != 3 or not is_combinatorial_3_manifold(X) or not _skeleton_connected(X):
+    if X.dim != 3 or not is_combinatorial_3_manifold(X) or not _connected(X.facet_masks):
         raise PreconditionError("certificate scan needs a connected combinatorial 3-manifold")
     for fm in X.facet_masks:
         facet = X.face_labels(fm)
@@ -316,14 +327,12 @@ def recognition_report(K: SimplicialComplex) -> RecognitionReport:
     if not closed_surface:
         witnesses.append(("is_closed_surface", surf_bad))
 
-    two_sphere = closed_surface and K.euler_characteristic() == 2
+    two_sphere = K.dim == 2 and _is_two_sphere_masks(K.facet_masks)
     if not two_sphere:
         witnesses.append(("is_two_sphere", surf_bad if surf_bad is not None else lead))
 
     if K.dim == 3:
-        bad_vertex = next(
-            (v for v in K.labels if not _two_sphere_quietly(K.link([v]))), None
-        )
+        bad_vertex = next(_singular(K), None)
         three_manifold = bad_vertex is None
         if not three_manifold:
             witnesses.append(("is_three_manifold", frozenset([bad_vertex])))

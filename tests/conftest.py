@@ -34,3 +34,34 @@ def torus7():
         [{str(i), rot(i, 1), rot(i, 3)} for i in range(1, 8)]
         + [{str(i), rot(i, 2), rot(i, 3)} for i in range(1, 8)]
     )
+
+
+@pytest.fixture(scope="session")
+def kernel_pool():
+    """Named complexes on which the mask-level link kernel is checked against
+    plain frozenset references: 20 seeded random 3-spheres and their
+    neighbourly reductions, the named 3-manifolds, two non-manifolds and a
+    non-pure complex."""
+    from walkup.bistellar import neighbourly_reduction, random_three_sphere
+
+    pool = []
+    for seed in range(20):
+        K = random_three_sphere(seed)
+        pool += [(f"random9:{seed}", K), (f"reduced9:{seed}", neighbourly_reduction(K)[0])]
+    pool += [
+        ("k39", constructions.walkup_complex(3)),
+        ("c37", constructions.cyclic_sphere_c37()),
+        ("m10", constructions.connected_sum_c37()),
+    ]
+    k27 = constructions.walkup_complex(2)
+    # the one-point suspension of the torus: the links of 1 and s are tori
+    pool.append(("k27+suspension", k27.one_point_suspension("1", "s")))
+    # the torus joined with two points: a 9-vertex pseudomanifold, not a manifold
+    pool.append(("k27*S0", k27.join(from_facets([["a"], ["b"]]))))
+    # non-pure; neither the link of the edge {5, 6} (three points) nor that of
+    # {11, 12} (a path of three edges) is a triangle boundary
+    pool.append(("non-pure", from_facets(
+        [[1, 2, 3, 4], [1, 2, 3, 5], [2, 4, 5], [5, 6, 7], [5, 6, 8], [5, 6, 9], [1, 9], [10]]
+        + [[11, 12, 1, 2], [11, 12, 2, 3], [11, 12, 3, 4]]
+    )))
+    return pool

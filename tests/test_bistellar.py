@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from walkup import bistellar, constructions, recognition
 from walkup.bistellar import (
+    BistellarMove,
     apply_move,
     classify_face,
     degree_raising_moves,
@@ -17,7 +19,7 @@ from walkup.bistellar import (
     removable_faces,
     star_vertex,
 )
-from walkup.core import PreconditionError
+from walkup.core import PreconditionError, from_facets
 from walkup.isomorphism import canonical_form
 
 
@@ -217,3 +219,144 @@ def test_random_sphere_generator_is_seeded():
     assert a != c
     assert a.vertex_count == 9
     assert recognition.is_combinatorial_3_manifold(a)
+
+
+# -- an independent reference: plain frozensets, no masks ----------------------
+
+
+def _ref_faces(F):
+    return {frozenset(c) for f in F for k in range(1, len(f) + 1) for c in combinations(f, k)}
+
+
+def _ref_classify(F, dim, alpha):
+    """The link of alpha must be the boundary of the simplex on beta; then the
+    move is blocked exactly when beta is already a face."""
+    link = {f - alpha for f in F if alpha < f}
+    beta = frozenset().union(*link)
+    if len(beta) == dim - len(alpha) + 2 and link == {beta - {v} for v in beta}:
+        blocked = any(beta <= f for f in F)
+        return (bistellar.BETA_IS_FACE if blocked else bistellar.REMOVABLE), beta
+    return bistellar.LINK_NOT_BOUNDARY, None
+
+
+def _ref_degrees(F):
+    vertices = frozenset().union(*F)
+    return {v: len(frozenset().union(*(f for f in F if v in f))) - 1 for v in vertices}
+
+
+def test_move_detection_matches_a_frozenset_reference(kernel_pool):
+    for name, K in kernel_pool:
+        F = {frozenset(f) for f in K.facets()}
+        faces = _ref_faces(F)
+        for alpha in faces:
+            assert classify_face(K, alpha) == _ref_classify(F, K.dim, alpha), (name, alpha)
+        assert bistellar.vertex_degrees(K) == _ref_degrees(F), name
+        if not recognition.is_pseudomanifold(K):
+            assert name == "non-pure"
+            continue
+        for i in range(1, K.dim + 1):
+            moves = removable_faces(K, i)
+            expected = {
+                (alpha, _ref_classify(F, K.dim, alpha)[1])
+                for alpha in faces
+                if len(alpha) == K.dim - i + 1
+                and _ref_classify(F, K.dim, alpha)[0] == bistellar.REMOVABLE
+            }
+            assert {(m.alpha, m.beta) for m in moves} == expected, (name, i)
+            assert all(m.move_type == i for m in moves)
+            assert moves == sorted(moves, key=BistellarMove.sort_key)
+        expected_proper = [m for i in range(1, K.dim) for m in removable_faces(K, i)]
+        assert proper_moves(K) == sorted(expected_proper, key=BistellarMove.sort_key)
+
+
+def test_degree_raising_moves_match_the_reference(kernel_pool):
+    for name, K in kernel_pool:
+        assert K.dim == 3
+        F = {frozenset(f) for f in K.facets()}
+        for u in K.labels:
+            # 1-moves on triangles of lk(u) whose new edge ends at u
+            expected = set()
+            for f in F:
+                if u in f and len(f) == 4:
+                    status, beta = _ref_classify(F, 3, f - {u})
+                    if status == bistellar.REMOVABLE:
+                        expected.add((f - {u}, beta))
+            got = degree_raising_moves(K, u)
+            assert {(m.alpha, m.beta) for m in got} == expected, (name, u)
+            assert all(u in m.beta and m.move_type == 1 for m in got)
+
+
+def test_applied_moves_match_the_reference(kernel_pool):
+    for name, K in kernel_pool:
+        if not recognition.is_pseudomanifold(K):
+            continue
+        F = {frozenset(f) for f in K.facets()}
+        for move in removable_faces(K, 1)[:4] + removable_faces(K, K.dim)[:2]:
+            after = apply_move(K, move)
+            kept = {f for f in F if not move.alpha <= f}
+            added = {move.beta | (move.alpha - {v}) for v in move.alpha}
+            assert {frozenset(f) for f in after.facets()} == kept | added, (name, move)
+            assert after.labels == tuple(sorted(after.labels, key=bistellar._label_key))
+
+
+# -- preconditions are checked once, at the entry points -----------------------
+
+
+@pytest.fixture
+def broken(k39):
+    """k39 without one facet: pure, but not a pseudomanifold."""
+    return from_facets(k39.facets()[1:])
+
+
+@pytest.fixture
+def torus_join():
+    """The 7-vertex torus joined with two points: a 9-vertex
+    pseudomanifold whose links at the two cone points are tori."""
+    return constructions.walkup_complex(2).join(from_facets([["a"], ["b"]]))
+
+
+def test_entry_points_reject_bad_inputs(broken, torus_join):
+    for i in (1, 2, 3):
+        with pytest.raises(PreconditionError, match="pseudomanifold"):
+            removable_faces(broken, i)
+    with pytest.raises(PreconditionError, match="pseudomanifold"):
+        proper_moves(broken)
+    with pytest.raises(PreconditionError, match="pseudomanifold"):
+        flip_reachable(broken, random_three_sphere(1), move_budget=1, vertex_cap=9)
+    assert recognition.is_pseudomanifold(torus_join)
+    with pytest.raises(PreconditionError, match="3-manifold"):
+        raise_min_degree(torus_join)
+    with pytest.raises(PreconditionError, match="3-manifold"):
+        neighbourly_reduction(torus_join)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(recognition, name)
+
+    def counting(K):
+        calls.append(K)
+        return original(K)
+
+    monkeypatch.setattr(recognition, name, counting)
+    return calls
+
+
+def test_checks_run_once_per_public_call(monkeypatch):
+    K = random_three_sphere(4)
+    pseudo = _count_calls(monkeypatch, "is_pseudomanifold")
+    manifold = _count_calls(monkeypatch, "is_combinatorial_3_manifold")
+    assert random_three_sphere(4) == K
+    assert pseudo == [] and manifold == []
+    proper_moves(K)
+    assert len(pseudo) == 1
+    removable_faces(K, 1)
+    assert len(pseudo) == 2
+    reduced, moves = neighbourly_reduction(K)
+    assert len(moves) >= 2 and recognition.is_neighbourly(reduced)
+    assert len(manifold) == 1 and len(pseudo) == 2
+    # proper moves keep the vertex count, so the search expands every node
+    # within the budget before giving up
+    pseudo.clear()
+    assert flip_reachable(K, random_three_sphere(4, vertices=8), 2, 9) == (False, None)
+    assert len(pseudo) == 1

@@ -10,7 +10,7 @@ import pytest
 
 import walkup
 from walkup import core
-from walkup.cli import run
+from walkup.cli import build_parser, run
 
 # The directory holding the imported `walkup` package, so a child interpreter
 # runs the code under test whatever the working directory or install state.
@@ -34,6 +34,20 @@ def test_run_info_k39():
     assert outcome.exit_code == 0
     assert outcome.report["data"]["f_vector"] == [9, 36, 54, 27]
     assert outcome.report["data"]["euler_characteristic"] == 0
+
+
+def test_malformed_walkup_threads_exits_1(monkeypatch):
+    # `info` starts no census workers, whatever the thread count
+    monkeypatch.setenv("WALKUP_THREADS", "abc")
+    outcome = run(["info", "k39"])
+    assert outcome.exit_code == 1
+    assert "--threads" in outcome.report["error"] and "'abc'" in outcome.report["error"]
+    assert outcome.text.startswith("error: ")
+    assert run(["--json", "info", "k39"]).json_requested
+    # an explicit flag overrides the variable, which is then never parsed
+    assert run(["info", "k39", "--threads", "1"]).exit_code == 0
+    monkeypatch.setenv("WALKUP_THREADS", "3")
+    assert build_parser().parse_args(["info", "k39"]).threads == 3
 
 
 def test_unknown_subcommand_exits_1():

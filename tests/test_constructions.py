@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from walkup import constructions, recognition
@@ -53,7 +54,12 @@ def test_walkup_complex_small_dims(k39):
 def test_walkup_vertex_links_pass_recognition(k39):
     k27 = constructions.walkup_complex(2)
     for v in k27.labels:
-        assert recognition._is_single_cycle(k27.link([v]))
+        # a single cycle: only edges, every vertex of degree 2, connected
+        link = k27.link([v])
+        cycle = nx.Graph([tuple(edge) for edge in link.facets()])
+        assert all(len(edge) == 2 for edge in link.facets())
+        assert len(cycle) == link.vertex_count >= 3
+        assert all(d == 2 for _, d in cycle.degree()) and nx.is_connected(cycle)
     assert recognition.is_combinatorial_3_manifold(k39)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from walkup import constructions, homology, recognition
@@ -163,3 +164,93 @@ def test_recognition_report_witnesses(k39, torus7, m10):
     for prop, value in report.as_dict().items():
         if value is False:
             assert report.witness_for(prop) is not None, prop
+
+
+# -- an independent reference: plain frozensets and networkx, no masks ---------
+
+
+def _ref_two_sphere(T):
+    """A closed connected surface with Euler characteristic 2: every edge in
+    two triangles, every vertex link one cycle, the 1-skeleton connected."""
+    if not T or any(len(t) != 3 for t in T):
+        return False
+    edges = {frozenset(e) for t in T for e in combinations(t, 2)}
+    if any(sum(e < t for t in T) != 2 for e in edges):
+        return False
+    vertices = frozenset().union(*T)
+    for v in vertices:
+        cycle = nx.Graph([tuple(t - {v}) for t in T if v in t])
+        if not nx.is_connected(cycle) or any(d != 2 for _, d in cycle.degree()):
+            return False
+    if not nx.is_connected(nx.Graph([tuple(e) for e in edges])):
+        return False
+    return len(vertices) - len(edges) + len(T) == 2
+
+
+def _ref_singular(K):
+    F = [frozenset(f) for f in K.facets()]
+    return [v for v in K.labels if not _ref_two_sphere({f - {v} for f in F if v in f})]
+
+
+def _ref_non_neighbourly(K):
+    size = K.dim // 2 + 1
+    F = [frozenset(f) for f in K.facets()]
+    return next(
+        (frozenset(c) for c in combinations(K.labels, size) if not any(set(c) <= f for f in F)),
+        None,
+    )
+
+
+def test_three_manifold_recognition_matches_a_reference(kernel_pool):
+    for name, K in kernel_pool:
+        singular = _ref_singular(K)
+        assert recognition.is_combinatorial_3_manifold(K) == (not singular), name
+        report = recognition.recognition_report(K)
+        assert report.is_three_manifold == (not singular), name
+        assert report.witness_for("is_three_manifold") == (
+            frozenset(singular[:1]) if singular else None
+        ), name
+        if recognition.is_pseudomanifold(K):
+            assert recognition.singular_vertices(K) == singular, name
+        assert report.witness_for("is_neighbourly") == _ref_non_neighbourly(K), name
+        assert report.is_neighbourly == recognition.is_neighbourly(K) == (
+            _ref_non_neighbourly(K) is None
+        ), name
+    names = {name for name, K in kernel_pool if _ref_singular(K)}
+    assert names == {"k27+suspension", "k27*S0", "non-pure"}
+
+
+def test_surface_recognition_matches_a_reference(kernel_pool, torus7, catalog):
+    surfaces = [("torus7", torus7), ("k27", constructions.walkup_complex(2))]
+    surfaces += list(catalog.items())
+    for name, K in kernel_pool[::5]:
+        surfaces += [(f"{name} lk {v}", K.link([v])) for v in K.labels[:3]]
+    tetrahedron = [set(t) for t in combinations("abcd", 3)]
+    # a 2-sphere and a torus side by side: every vertex link is a cycle and chi = 2
+    apart = from_facets(tetrahedron + torus7.facets())
+    # a 2-sphere with a fin, a triangle on its edge ab: chi = 2 and every
+    # vertex link is connected, but ab lies in three triangles
+    fin = from_facets(tetrahedron + [{"a", "b", "e"}])
+    surfaces += [("apart", apart), ("fin", fin)]
+    # two octahedra glued at two opposite vertices a and A: every edge lies in
+    # two triangles, it is connected and chi = 2, but the links of a and A
+    # are two 4-cycles each
+    pinched = from_facets(
+        [{x, y, z} for x in "aA" for y in "bB" for z in "cC"]
+        + [{x, y, z} for x in "aA" for y in "dD" for z in "eE"]
+    )
+    surfaces.append(("pinched", pinched))
+    spheres = 0
+    for name, K in surfaces:
+        T = {frozenset(f) for f in K.facets()}
+        if K.dim == 2:
+            assert recognition.is_two_sphere(K) == _ref_two_sphere(T), name
+            spheres += _ref_two_sphere(T)
+        report = recognition.recognition_report(K)
+        assert report.is_two_sphere == (K.dim == 2 and _ref_two_sphere(T)), name
+        if report.is_closed_surface:
+            assert K.dim == 2 and (report.is_two_sphere == (K.euler_characteristic() == 2))
+    for K in (apart, fin, pinched):
+        assert not recognition.is_two_sphere(K) and K.euler_characteristic() == 2
+    assert recognition.closed_surface_witness(pinched) == frozenset({"A"})  # labels: A < a
+    assert spheres >= len(catalog)
