@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import bistellar, constructions, core, enumeration, homology, lemmas, recognition
 from .core import PreconditionError, SimplicialComplex
-from .isomorphism import are_isomorphic, automorphism_group, canonical_form
+from .isomorphism import are_isomorphic, canonical_form_and_group
 
 
 @dataclass
@@ -169,8 +169,7 @@ def _cmd_iso(args) -> tuple[bool, dict, str]:
 
 def _cmd_aut(args) -> tuple[bool, dict, str]:
     K = _resolve_complex(args.complex)
-    group = automorphism_group(K)
-    cf = canonical_form(K)
+    cf, group = canonical_form_and_group(K)
     data = {
         "order": group.order,
         "generators": [
@@ -382,7 +381,7 @@ def build_parser() -> _Parser:
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--out", help="stream canonical facet lists to a file")
     e = esub.add_parser("neighbourly9", parents=[common], help="neighbourly 9-vertex 3-manifolds")
-    e.add_argument("--full", action="store_true", help="full 9-vertex census (hours)")
+    e.add_argument("--full", action="store_true", help="full 9-vertex census (about a minute)")
     e.add_argument("--out", help="stream canonical facet lists to a file")
 
     return parser

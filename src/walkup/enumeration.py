@@ -3,8 +3,8 @@
 Both censuses run the same forced-closure search: keep a pool of facets, find
 the lexicographically least ridge lying in exactly one facet, and try every
 vertex that can close it, introducing fresh vertices in first-use order.  A
-completed pool has every ridge in zero or two facets; recognition and
-canonical-form rejection then decide what was found.
+completed pool has every ridge in zero or two facets; canonical-form rejection
+then decides what was found.
 
 The 3-manifold censuses are anchored on a vertex star rather than a single
 facet: vertex 0's link is pinned to one of the canonically labelled 2-sphere
@@ -14,7 +14,19 @@ each of its vertices, and duplicates fall to the canonical-form filter.
 
 Cheap necessary conditions prune the tree: per-face facet counts respect the
 bounds a manifold link allows, and whenever a face's star closes ("seals"),
-its link must already be a single cycle (edges) or a 2-sphere (vertices).
+its link must already be a single cycle (edges) or a connected chi = 2
+surface (vertices).
+
+These checks make recognition of a completion unnecessary.  Every facet added
+after the first (or after the pinned star) closes an open ridge, so a
+completion is strongly connected, and each of its ridges lies in exactly two
+facets.  In d = 2 every vertex link passed the cycle check, so a completion is
+a closed surface; with n vertices and at most 2n - 4 facets its Euler
+characteristic n - f/2 is at least 2, so it is a 2-sphere.  In d = 3 every
+edge link passed the cycle check, so every vertex link is a closed surface,
+and the vertex check made it connected with chi = 2: a 2-sphere.  A 9-vertex
+completion with 27 facets has f1 = 36, so it is neighbourly.  The tests and
+the benchmark re-verify every census member independently.
 """
 
 from __future__ import annotations
@@ -23,9 +35,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from . import homology, recognition
+from . import homology
 from .core import PreconditionError, SimplicialComplex, _iter_bits
 from .isomorphism import canonical_form, canonical_relabel
+from .recognition import _connected
 
 MAX_N = 9
 
@@ -37,200 +50,157 @@ class CensusResult:
     stats: dict[str, int] = field(default_factory=dict)
 
 
-def _submasks(mask: int) -> list[int]:
-    subs = []
-    s = mask
-    while s:
-        subs.append(s)
-        s = (s - 1) & mask
-    return subs
-
-
 @lru_cache(maxsize=None)
-def _ridge_table(d: int) -> tuple[dict[int, int], list[int]]:
-    masks = sorted(
-        sum(1 << b for b in combo) for combo in combinations(range(MAX_N), d)
-    )
-    return {m: i for i, m in enumerate(masks)}, masks
+def _facet_table(d: int) -> dict[int, tuple[int, int, tuple, tuple]]:
+    """For each (d+1)-subset f of the 9 vertices: its top vertex, its ridges as
+    a face set, and (vertex, faces through it) for each of its vertices and
+    (pair, faces through it) for each of its vertex pairs when d = 3.
+
+    A face set is an int whose bit m is set when the face with vertex mask m is
+    in it; the sets here list only ridges and facets (sizes d and d + 1).
+    """
+    faces = [m for m in range(1 << MAX_N) if m.bit_count() in (d, d + 1)]
+
+    def through(s: int) -> int:
+        return sum(1 << m for m in faces if m & s == s)
+
+    at_vertex = [through(1 << v) for v in range(MAX_N)]
+    table = {}
+    for f in faces:
+        if f.bit_count() == d + 1:
+            bits = list(_iter_bits(f))
+            pairs = [(1 << a) | (1 << b) for a, b in combinations(bits, 2)] if d == 3 else []
+            table[f] = (
+                bits[-1],
+                sum(1 << (f ^ (1 << b)) for b in bits),
+                tuple((b, at_vertex[b]) for b in bits),
+                tuple((p, through(p)) for p in pairs),
+            )
+    return table
 
 
 class _ClosureSearch:
-    """Depth-first forced closure over at most 9 vertices."""
+    """Depth-first forced closure over at most 9 vertices.
+
+    The state is three face sets (see `_facet_table`) and the vertex count:
+    the facets, the ridges in at least one facet, and the open ridges, which
+    lie in exactly one.  Facet counts at a vertex or pair, seal status and
+    ridge counts are popcounts of ANDs with the "faces through" sets.
+    """
 
     def __init__(self, d: int, max_vertices: int, max_facets: int):
         self.d = d
         self.max_vertices = max_vertices
         self.max_facets = max_facets
-        self.ridge_index, self.ridge_masks = _ridge_table(d)
-        self.cnt = [0] * (1 << MAX_N)
-        self.facets: list[int] = []
-        self.open_ridges = 0
-        self.vopen = [0] * MAX_N  # open ridges at each vertex
+        self.table = _facet_table(d)
+        self.facets = 0
+        self.present = 0
+        self.open = 0
         self.used = 0
-        # degree bounds a manifold vertex link allows on <= 9 vertices
+        self._saved: list[tuple[int, int, int, int]] = []
+        # bounds a manifold vertex or edge link allows on <= 9 vertices: facets
+        # at a vertex, ridges at a vertex (edges of its link) and facets at a pair
         self.vertex_cap = 12 if d == 3 else max_vertices - 1
+        self.ridge_cap = 18 if d == 3 else max_vertices - 1
         self.pair_cap = 7
-        self.vtri = [0] * MAX_N  # triangles present at each vertex (d = 3)
-        self.popen = [0] * (1 << MAX_N)  # open triangles over each pair (d = 3)
         self.nodes = 0
         self.completions = 0
+
+    def facet_masks(self) -> list[int]:
+        return list(_iter_bits(self.facets))
 
     # -- mutation ---------------------------------------------------------
 
     def try_add(self, fmask: int) -> bool:
-        """Validate and apply one facet; False leaves the state untouched."""
-        d = self.d
-        if len(self.facets) >= self.max_facets or self.cnt[fmask]:
-            return False
-        bits = list(_iter_bits(fmask))
-        ridges = [fmask ^ (1 << b) for b in bits]
-        for r in ridges:
-            if self.cnt[r] >= 2:
-                return False
-        for b in bits:
-            v = 1 << b
-            if self.cnt[v] >= self.vertex_cap:
-                return False
-            if self.cnt[v] and self.vopen[b] == 0:
+        """Add one facet if every cap and seal check allows it.
+
+        The caller has ruled out a full pool, a facet already present and a
+        ridge of it already in two facets; False leaves the state untouched.
+        """
+        top, ridges, at_vertices, at_pairs = self.table[fmask]
+        facets, open_ = self.facets, self.open
+        present = self.present | ridges
+        for _, through in at_vertices:
+            mine = facets & through
+            if mine and not open_ & through:
                 return False  # sealed vertex link
-        if d == 3:
-            for pair in combinations(bits, 2):
-                p = (1 << pair[0]) | (1 << pair[1])
-                if self.cnt[p] >= self.pair_cap:
-                    return False
-                if self.cnt[p] and self.popen[p] == 0:
-                    return False  # sealed edge link
-            for b in bits:
-                fresh = sum(
-                    1 for r in ridges if r >> b & 1 and self.cnt[r] == 0
-                )
-                if self.vtri[b] + fresh > 18:
-                    return False
-        self._apply(fmask, bits, ridges)
-        for b in bits:
-            if self.vopen[b] == 0 and not self._vertex_link_ok(b):
-                self._unapply(fmask, bits, ridges)
+            if mine.bit_count() >= self.vertex_cap:
                 return False
-        if d == 3:
-            for pair in combinations(bits, 2):
-                p = (1 << pair[0]) | (1 << pair[1])
-                if self.popen[p] == 0 and not self._pair_link_is_cycle(p):
-                    self._unapply(fmask, bits, ridges)
-                    return False
+            if (present & through).bit_count() > self.ridge_cap:
+                return False
+        for _, through in at_pairs:
+            mine = facets & through
+            if mine and not open_ & through:
+                return False  # sealed edge link
+            if mine.bit_count() >= self.pair_cap:
+                return False
+        facets |= 1 << fmask
+        open_ ^= ridges
+        for b, through in at_vertices:
+            if not open_ & through and not self._vertex_link_ok(
+                b, facets & through, (present & through).bit_count()
+            ):
+                return False
+        for p, through in at_pairs:
+            if not open_ & through and not self._pair_link_is_cycle(p, facets & through):
+                return False
+        self._saved.append((self.facets, self.present, self.open, self.used))
+        self.facets, self.present, self.open = facets, present, open_
+        self.used = max(self.used, top + 1)
         return True
 
-    def _apply(self, fmask: int, bits: list[int], ridges: list[int]) -> None:
-        self.facets.append(fmask)
-        if bits[-1] >= self.used:
-            self.used = bits[-1] + 1
-        for s in _submasks(fmask):
-            self.cnt[s] += 1
-        for r in ridges:
-            bit = 1 << self.ridge_index[r]
-            delta = 1 if self.cnt[r] == 1 else -1  # just opened vs just closed
-            if self.cnt[r] == 1:
-                self.open_ridges |= bit
-            else:
-                self.open_ridges &= ~bit
-            for b in _iter_bits(r):
-                self.vopen[b] += delta
-                if self.d == 3 and self.cnt[r] == 1:
-                    self.vtri[b] += 1
-            if self.d == 3:
-                for pair in combinations(list(_iter_bits(r)), 2):
-                    self.popen[(1 << pair[0]) | (1 << pair[1])] += delta
-
-    def _unapply(self, fmask: int, bits: list[int], ridges: list[int]) -> None:
-        self.facets.pop()
-        for r in ridges:
-            bit = 1 << self.ridge_index[r]
-            delta = 1 if self.cnt[r] == 1 else -1  # mirrors _apply exactly
-            if self.cnt[r] == 1:
-                self.open_ridges &= ~bit
-            else:
-                self.open_ridges |= bit
-            for b in _iter_bits(r):
-                self.vopen[b] -= delta
-                if self.d == 3 and self.cnt[r] == 1:
-                    self.vtri[b] -= 1
-            if self.d == 3:
-                for pair in combinations(list(_iter_bits(r)), 2):
-                    self.popen[(1 << pair[0]) | (1 << pair[1])] -= delta
-        for s in _submasks(fmask):
-            self.cnt[s] -= 1
-        if self.used - 1 == bits[-1] and self.cnt[1 << bits[-1]] == 0:
-            self.used -= 1
-
-    def undo(self, fmask: int) -> None:
-        bits = list(_iter_bits(fmask))
-        self._unapply(fmask, bits, [fmask ^ (1 << b) for b in bits])
+    def undo(self) -> None:
+        self.facets, self.present, self.open, self.used = self._saved.pop()
 
     # -- seal validation ---------------------------------------------------
 
-    def _vertex_link_ok(self, b: int) -> bool:
-        """Once no ridge at vertex b is open, its link must be closed of the
-        right type: a single cycle (d=2) or a connected chi=2 surface (d=3)."""
-        at = [f for f in self.facets if f >> b & 1]
-        if not at:
-            return True
-        neighbours = 0
-        for f in at:
-            neighbours |= f
-        m = neighbours.bit_count() - 1
+    def _vertex_link_ok(self, b: int, facets: int, ridges: int) -> bool:
+        """Once no ridge at vertex b is open, its link (`facets` at b, with
+        `ridges` edges) must be a single cycle (d=2) or a connected chi=2
+        surface (d=3)."""
+        link = [f ^ (1 << b) for f in _iter_bits(facets)]
+        vertices = 0
+        for e in link:
+            vertices |= e
+        m = vertices.bit_count()
         if self.d == 2:
-            if m != len(at):
+            if m != len(link):
                 return False
-        else:
-            if m - self.vtri[b] + len(at) != 2:
-                return False
-        share = self.d  # facets adjacent in the link share d vertices
-        seen = 1
-        stack = [0]
-        visited = {0}
-        while stack:
-            i = stack.pop()
-            for j in range(len(at)):
-                if j not in visited and (at[i] & at[j]).bit_count() == share:
-                    visited.add(j)
-                    seen += 1
-                    stack.append(j)
-        return seen == len(at)
-
-    def _pair_link_is_cycle(self, p: int) -> bool:
-        edges = [f & ~p for f in self.facets if f & p == p]
-        verts = 0
-        for e in edges:
-            verts |= e
-        if verts.bit_count() != len(edges):
+        elif m - ridges + len(link) != 2:
             return False
-        reached = edges[0]
-        grew = True
-        while grew:
-            grew = False
-            for e in edges:
-                if e & reached and e | reached != reached:
-                    reached |= e
-                    grew = True
-        return reached == verts
+        return _connected(link)
+
+    @staticmethod
+    def _pair_link_is_cycle(p: int, facets: int) -> bool:
+        edges = [f & ~p for f in _iter_bits(facets)]
+        vertices = 0
+        for e in edges:
+            vertices |= e
+        return vertices.bit_count() == len(edges) and _connected(edges)
 
     # -- search ------------------------------------------------------------
 
     def run(self, on_complete) -> None:
         self.nodes += 1
-        if self.open_ridges == 0:
+        if not self.open:
             self.completions += 1
             on_complete(self)
             return
-        low = self.open_ridges & -self.open_ridges
-        ridge = self.ridge_masks[low.bit_length() - 1]
-        top = min(self.used + 1, self.max_vertices)
-        for v in range(top):
+        facets = self.facets
+        if facets.bit_count() >= self.max_facets:
+            return
+        ridge = (self.open & -self.open).bit_length() - 1
+        closed = self.present & ~self.open  # ridges already in two facets
+        table = self.table
+        for v in range(min(self.used + 1, self.max_vertices)):
             if ridge >> v & 1:
                 continue
             fmask = ridge | (1 << v)
+            if facets >> fmask & 1 or table[fmask][1] & closed:
+                continue
             if self.try_add(fmask):
                 self.run(on_complete)
-                self.undo(fmask)
+                self.undo()
 
 
 def _labels_for(n: int) -> dict[int, str]:
@@ -255,7 +225,7 @@ def enumerate_two_spheres(n: int) -> CensusResult:
     if n < 4 or n > 8:
         raise PreconditionError(f"2-sphere census covers 4 <= n <= 8, got {n}")
     search = _ClosureSearch(d=2, max_vertices=n, max_facets=2 * n - 4)
-    assert search.try_add(0b111)
+    search.try_add(0b111)
     found: dict[bytes, SimplicialComplex] = {}
     rejected = 0
 
@@ -263,9 +233,7 @@ def enumerate_two_spheres(n: int) -> CensusResult:
         nonlocal rejected
         if s.used != n:
             return
-        K = _complex_from_masks(s.facets)
-        if not recognition.is_two_sphere(K):
-            return
+        K = _complex_from_masks(s.facet_masks())
         digest = canonical_form(K).bytes
         if digest in found:
             rejected += 1
@@ -310,13 +278,9 @@ def _star_completions(
     def on_complete(s: _ClosureSearch) -> None:
         if s.used != MAX_N:
             return
-        if require_neighbourly and len(s.facets) != 27:
+        if require_neighbourly and s.facets.bit_count() != 27:
             return
-        K = _complex_from_masks(s.facets)
-        if require_neighbourly and not recognition.is_neighbourly(K):
-            return
-        if not recognition.is_combinatorial_3_manifold(K):
-            return
+        K = _complex_from_masks(s.facet_masks())
         digest = canonical_form(K).bytes
         if digest in found:
             stats["isomorph_rejections"] += 1
@@ -411,13 +375,14 @@ def enumerate_neighbourly_9_manifolds(
 
 
 def enumerate_all_9_manifolds(confirm: bool = False, threads: int = 1) -> CensusResult:
-    """The full census of 9-vertex combinatorial 3-manifolds (hours-scale).
+    """The full census of 9-vertex combinatorial 3-manifolds (under a minute
+    on one thread).
 
     Gated behind an explicit flag so the default suites never run it.
     """
     if not confirm:
         raise PreconditionError(
-            "the full 9-vertex census is hours-scale; pass confirm=True to run it"
+            "the full 9-vertex census takes about a minute; pass confirm=True to run it"
         )
     from .core import to_text
 

@@ -160,10 +160,14 @@ def _search(K: SimplicialComplex) -> tuple[tuple[int, ...], list[int], list[tupl
 
 def canonical_form(K: SimplicialComplex) -> CanonicalForm:
     """Encoding invariant under every relabeling of ``K``."""
-    n = K.vertex_count
-    if n == 0:
+    if K.vertex_count == 0:
         return CanonicalForm(b"\x00", {})
     enc, order, _ = _search(K)
+    return _canonical(K, enc, order)
+
+
+def _canonical(K: SimplicialComplex, enc: tuple[int, ...], order: list[int]) -> CanonicalForm:
+    n = K.vertex_count
     pos = {v: p for p, v in enumerate(order)}
     payload = bytes([n]) + b"".join(m.to_bytes(2, "little") for m in enc)
     relabeling = {K.labels[v]: pos[v] for v in range(n)}
@@ -223,10 +227,21 @@ def _perm_order(gens: list[tuple[int, ...]], n: int) -> int:
 
 
 def automorphism_group(K: SimplicialComplex) -> PermutationGroup:
-    n = K.vertex_count
-    if n == 0:
+    if K.vertex_count == 0:
         return PermutationGroup((), (), 1)
-    _, _, autos = _search(K)
+    return _group(K, _search(K)[2])
+
+
+def canonical_form_and_group(K: SimplicialComplex) -> tuple[CanonicalForm, PermutationGroup]:
+    """`canonical_form(K)` and `automorphism_group(K)` from one search."""
+    if K.vertex_count == 0:
+        return canonical_form(K), automorphism_group(K)
+    enc, order, autos = _search(K)
+    return _canonical(K, enc, order), _group(K, autos)
+
+
+def _group(K: SimplicialComplex, autos: list[tuple[int, ...]]) -> PermutationGroup:
+    n = K.vertex_count
     for g in autos:
         mapped = {sum(1 << g[b] for b in _iter_bits(fm)) for fm in K.facet_masks}
         if mapped != set(K.facet_masks):

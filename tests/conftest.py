@@ -27,6 +27,15 @@ def m10():
 
 
 @pytest.fixture(scope="session")
+def neighbourly_census():
+    """One run of the neighbourly 9-vertex census, shared by the tests that
+    only read its result."""
+    from walkup.enumeration import enumerate_neighbourly_9_manifolds
+
+    return enumerate_neighbourly_9_manifolds()
+
+
+@pytest.fixture(scope="session")
 def torus7():
     """The 7-vertex torus: facets (i, i+1, i+3) and (i, i+2, i+3) mod 7."""
     rot = lambda i, k: str((i + k - 1) % 7 + 1)  # noqa: E731

@@ -251,7 +251,7 @@ def test_criterion_13_unique_non_sphere(k39):
 @pytest.mark.full_census
 @pytest.mark.skipif(
     not os.environ.get("WALKUP_FULL_CENSUS"),
-    reason="hours-scale full census; set WALKUP_FULL_CENSUS=1 to run",
+    reason="full census (about a minute); set WALKUP_FULL_CENSUS=1 to run",
 )
 def test_criterion_14_full_census(k39):
     with criterion(14, 12 * 3600.0, "full census: 1297 manifolds, one non-sphere"):

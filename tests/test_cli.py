@@ -172,6 +172,31 @@ def test_aut_hex_digest_usable_as_key():
     assert outcome.report["data"]["order"] == 18
 
 
+def test_aut_runs_one_isomorphism_search(monkeypatch):
+    from walkup import constructions, isomorphism
+
+    K = constructions.walkup_complex(3)
+    group = isomorphism.automorphism_group(K)
+    digest = isomorphism.canonical_form(K).hex_digest()
+
+    calls = []
+    search = isomorphism._search
+
+    def counted(L):
+        calls.append(L)
+        return search(L)
+
+    monkeypatch.setattr(isomorphism, "_search", counted)
+    outcome = run(["aut", "k39"])
+    assert len(calls) == 1
+    assert outcome.exit_code == 0
+    data = outcome.report["data"]
+    assert data["order"] == group.order == 18
+    assert data["canonical_digest"] == digest
+    assert data["generators"] == [{a: b for a, b in g if a != b} for g in group.generators]
+    assert outcome.text.splitlines()[:2] == ["order: 18", f"canonical digest: {digest}"]
+
+
 def test_verify_exit_codes():
     assert run(["verify", "lemma4.1", "--complex", "k39"]).exit_code == 0
     assert run(["verify", "lemma4.2", "--complex", "k39"]).exit_code == 0

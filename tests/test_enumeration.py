@@ -12,6 +12,9 @@ from walkup.enumeration import (
 from walkup.isomorphism import canonical_form
 
 KNOWN_SPHERE_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14}
+# (nodes, completions, isomorph rejections): the closure search visits exactly
+# this tree; a search that prunes differently must re-derive it on purpose
+KNOWN_SEARCH_TREES = {4: (4, 1, 0), 5: (14, 4, 2), 6: (61, 17, 11), 7: (397, 86, 63), 8: (4330, 518, 385)}
 
 
 def _vertex_splits(K: SimplicialComplex):
@@ -49,6 +52,10 @@ def _vertex_splits(K: SimplicialComplex):
 def test_two_sphere_census_counts(n):
     result = enumerate_two_spheres(n)
     assert result.counts == {"two_sphere": KNOWN_SPHERE_COUNTS[n]}
+    nodes, completions, rejections = KNOWN_SEARCH_TREES[n]
+    assert result.stats == {
+        "nodes": nodes, "completions": completions, "isomorph_rejections": rejections
+    }
     for K in result.complexes:
         assert K.vertex_count == n
         assert recognition.is_two_sphere(K)
@@ -128,19 +135,19 @@ def test_full_census_requires_opt_in():
 @pytest.mark.full_census
 @pytest.mark.skipif(
     not __import__("os").environ.get("WALKUP_FULL_CENSUS"),
-    reason="hours-scale full census; set WALKUP_FULL_CENSUS=1 to run",
+    reason="full census (about a minute); set WALKUP_FULL_CENSUS=1 to run",
 )
-def test_full_census_restricts_to_neighbourly_census():
+def test_full_census_restricts_to_neighbourly_census(neighbourly_census):
     full = enumerate_all_9_manifolds(confirm=True)
+    assert full.stats == {"nodes": 452257, "completions": 47376, "isomorph_rejections": 45260}
+    for K in full.complexes:
+        assert recognition.is_combinatorial_3_manifold(K)
     neighbourly = {
         canonical_form(K).bytes
         for K in full.complexes
         if recognition.is_neighbourly(K)
     }
-    direct = {
-        canonical_form(K).bytes
-        for K in enumerate_neighbourly_9_manifolds().complexes
-    }
+    direct = {canonical_form(K).bytes for K in neighbourly_census.complexes}
     assert neighbourly == direct
 
     # the mass formula extends to the full census: every class is found once
@@ -180,14 +187,14 @@ def test_sphere_census_mass_formula(n):
 
 
 @pytest.mark.slow
-def test_neighbourly_census_mass_formula():
+def test_neighbourly_census_mass_formula(neighbourly_census):
     """Each class must be found once per labelled copy with a pinned canonical
     vertex link: sum over vertices of |Aut(link)| divided by |Aut(M)|."""
     from fractions import Fraction
 
     from walkup.isomorphism import automorphism_group
 
-    result = enumerate_neighbourly_9_manifolds()
+    result = neighbourly_census
     observed = result.counts["total"] + result.stats["isomorph_rejections"]
     predicted = Fraction(0)
     for K in result.complexes:
@@ -201,9 +208,10 @@ def test_neighbourly_census_mass_formula():
 
 
 @pytest.mark.slow
-def test_neighbourly_census(k39):
-    result = enumerate_neighbourly_9_manifolds()
+def test_neighbourly_census(k39, neighbourly_census):
+    result = neighbourly_census
     assert result.counts == {"total": 51, "sphere": 50, "non_sphere": 1}
+    assert result.stats == {"nodes": 171859, "completions": 11981, "isomorph_rejections": 588}
     non_spheres = [
         K
         for K in result.complexes
@@ -218,9 +226,10 @@ def test_neighbourly_census(k39):
 
 
 @pytest.mark.slow
-def test_neighbourly_census_base_order_invariance():
-    base = enumerate_neighbourly_9_manifolds()
+def test_neighbourly_census_base_order_invariance(neighbourly_census):
+    base = neighbourly_census
     shuffled = enumerate_neighbourly_9_manifolds(label_seed=12345)
+    assert shuffled.stats["nodes"] == 98909
     assert base.counts == shuffled.counts
     assert [K.facet_masks for K in base.complexes] == [
         K.facet_masks for K in shuffled.complexes
@@ -228,11 +237,11 @@ def test_neighbourly_census_base_order_invariance():
 
 
 @pytest.mark.slow
-def test_neighbourly_census_ledger_identity(k39):
+def test_neighbourly_census_ledger_identity(k39, neighbourly_census):
     """The inclusion-exclusion identity holds for every census member; the
     full 29/28 dichotomy singles out the non-sphere (spheres may have facets
     with several disjoint partners or collapsible complements)."""
-    result = enumerate_neighbourly_9_manifolds()
+    result = neighbourly_census
     dichotomy_passers = []
     for K in result.complexes:
         ledger = lemmas.facet_degree_ledger(K)
