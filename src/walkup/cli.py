@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import bistellar, constructions, core, enumeration, homology, lemmas, recognition
 from .core import PreconditionError, SimplicialComplex
-from .isomorphism import are_isomorphic, canonical_form_and_group
+from .isomorphism import are_isomorphic, automorphism_group, canonical_form
 
 
 @dataclass
@@ -169,7 +169,7 @@ def _cmd_iso(args) -> tuple[bool, dict, str]:
 
 def _cmd_aut(args) -> tuple[bool, dict, str]:
     K = _resolve_complex(args.complex)
-    cf, group = canonical_form_and_group(K)
+    cf, group = canonical_form(K), automorphism_group(K)
     data = {
         "order": group.order,
         "generators": [

@@ -66,7 +66,7 @@ class SimplicialComplex:
     in 0..n-1 following the canonical label order.
     """
 
-    __slots__ = ("facet_masks", "labels", "dim", "_index", "_faces_cache")
+    __slots__ = ("facet_masks", "labels", "dim", "_index", "_faces_cache", "_search_cache")
 
     def __init__(self, facet_masks: tuple[int, ...], labels: tuple[str, ...]):
         self.facet_masks = facet_masks
@@ -74,6 +74,7 @@ class SimplicialComplex:
         self.dim = max((m.bit_count() for m in facet_masks), default=0) - 1
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._faces_cache: dict[int, tuple[int, ...]] = {}
+        self._search_cache = None  # isomorphism._search(self), written once
 
     # -- construction ------------------------------------------------------
 

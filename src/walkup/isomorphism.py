@@ -1,12 +1,36 @@
 """Canonical forms, isomorphism tests, automorphism groups and orbits.
 
-The canonical form is computed by individualization-refinement: vertices are
-partitioned by an isomorphism-invariant signature (vertex degree plus the
-multiset of incident edge degrees), the partition is refined against itself
-via pairwise edge degrees, and remaining ties are resolved by backtracking
-over orderings, keeping the lexicographically least facet-set encoding.
-Automorphisms are harvested from orderings that reproduce the best encoding
-and reused to prune the search.
+The canonical form is computed by individualization-refinement.  Vertices
+are partitioned by an isomorphism-invariant signature (vertex degree plus
+the multiset of incident edge degrees) and refined against pairwise edge
+degrees.  Ties are resolved by a search tree: each node individualises one
+vertex of its first non-singleton cell and refines again.  At a leaf every
+cell is a single vertex, and the leaf's encoding is the sorted list of facet
+masks over the vertices' positions.  The canonical form is the least
+encoding over all leaves of the tree.
+
+An automorphism maps the tree onto itself and keeps encodings, so two
+leaves with one encoding differ by an automorphism; a leaf that equals the
+best so far is harvested as one.  The search drops a subtree only if it is:
+
+- a child in the orbit of an already-tried child, under harvested
+  automorphisms that fix the node's individualised vertices, which map the
+  tried child's subtree onto it (McKay & Piperno, Practical graph
+  isomorphism II, J. Symbolic Comput. 60, 2014).  A harvested automorphism
+  puts a leaf's branch into such an orbit at the node where its path leaves
+  the best path, so the search resumes there;
+- a subtree whose lower bound on its encodings exceeds the best encoding.
+
+Neither holds an encoding below the best, so the canonical bytes are those
+of the whole tree, whatever is pruned.  The first path is searched first,
+so every leaf met before a node on it is done lies below that node, and the
+best leaf is then the least below it.  Each leaf below it with that encoding
+is met and harvested against the first one met, or lies in an orbit-dropped
+subtree that a harvested automorphism maps from one searched.  So the
+automorphisms harvested below the node generate the stabiliser of its
+individualised vertices, and |Aut| is the product, along the first path, of
+the orbit length of each individualised vertex under the harvested
+automorphisms that fix those before it.
 """
 
 from __future__ import annotations
@@ -47,67 +71,93 @@ class PermutationGroup:
         return [dict(g) for g in self.generators]
 
 
-def _pair_degrees(K: SimplicialComplex) -> list[list[int]]:
-    """deg({v,w}) for every edge, -1 for non-edges; diagonal holds deg(v)."""
+def _pair_degrees(K: SimplicialComplex, verts: list[tuple[int, ...]]) -> list[list[int]]:
+    """deg({v,w}) for every edge, -1 for non-edges; diagonal holds deg(v).
+
+    `verts` lists each facet's vertices in ascending order."""
     n = K.vertex_count
+    star = [0] * n
+    pair = [[0] * n for _ in range(n)]
+    for fm, vs in zip(K.facet_masks, verts):
+        for i, v in enumerate(vs):
+            star[v] |= fm
+            row = pair[v]
+            for w in vs[i + 1 :]:
+                row[w] |= fm
     pd = [[-1] * n for _ in range(n)]
-    link_union = [[0] * n for _ in range(n)]
-    vertex_union = [0] * n
-    for fm in K.facet_masks:
-        bits = list(_iter_bits(fm))
-        for v in bits:
-            vertex_union[v] |= fm & ~(1 << v)
-            for w in bits:
-                if w != v:
-                    link_union[v][w] |= fm & ~(1 << v) & ~(1 << w)
     for v in range(n):
-        pd[v][v] = vertex_union[v].bit_count()
-        for w in range(n):
-            if w != v and (vertex_union[v] >> w) & 1:
-                pd[v][w] = link_union[v][w].bit_count()
+        pd[v][v] = star[v].bit_count() - 1
+        for w in range(v + 1, n):
+            if pair[v][w]:
+                pd[v][w] = pd[w][v] = pair[v][w].bit_count() - 2
     return pd
 
 
-def _refine(cells: list[list[int]], pd: list[list[int]]) -> list[list[int]]:
-    """Split cells by pairwise degree profiles until stable; order is invariant."""
+def _refine(cells: list[list[int]], pd: list[list[int]], fresh: list[bool]) -> list[list[int]]:
+    """Split cells by pairwise degree profiles until equitable; order is invariant.
+
+    A vertex's key holds, for each cell, the sorted degrees of its pairs with
+    that cell's other vertices, and the first cell the key splits is replaced
+    by its parts in key order.  `fresh` flags the cells that are not cells of
+    an equitable partition this one refines.  Every other cell gives a key
+    component that is constant on each cell, so the key is taken over the
+    fresh cells alone and the parts come out as from the full key.
+    """
     while True:
+        splitters = [c for c, f in zip(cells, fresh) if f]
         for ci, cell in enumerate(cells):
             if len(cell) == 1:
                 continue
             keyed: dict[tuple, list[int]] = {}
             for v in cell:
-                key = tuple(
-                    tuple(sorted(pd[v][w] for w in other if w != v)) for other in cells
-                )
+                row = pd[v]
+                key = tuple(tuple(sorted(row[w] for w in other if w != v)) for other in splitters)
                 keyed.setdefault(key, []).append(v)
             if len(keyed) > 1:
                 parts = [sorted(keyed[k]) for k in sorted(keyed)]
                 cells = cells[:ci] + parts + cells[ci + 1 :]
+                fresh = fresh[:ci] + [True] * len(parts) + fresh[ci + 1 :]
                 break
         else:
             return cells
 
 
-def _encode(K: SimplicialComplex, order: list[int]) -> tuple[int, ...]:
-    pos = [0] * len(order)
-    for p, v in enumerate(order):
-        pos[v] = p
-    remapped = []
-    for fm in K.facet_masks:
+def _least_encoding(cells: list[list[int]], verts: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
+    """A lower bound on the encoding of every leaf below `cells`; on a discrete
+    partition, the encoding itself: facet masks over positions, sorted.
+
+    Each cell keeps its range of positions in every leaf below it.  A facet's
+    mask is least when its vertices in each cell take the lowest positions of
+    that cell's range, and sorting is monotone, so the sorted least masks are
+    at most every leaf's sorted masks.
+    """
+    start = [0] * n
+    p = 0
+    for cell in cells:
+        for v in cell:
+            start[v] = p
+        p += len(cell)
+    least = []
+    for vs in verts:
         m = 0
-        for b in _iter_bits(fm):
-            m |= 1 << pos[b]
-        remapped.append(m)
-    remapped.sort()
-    return tuple(remapped)
+        for v in vs:
+            b = 1 << start[v]
+            while m & b:
+                b <<= 1
+            m |= b
+        least.append(m)
+    least.sort()
+    return tuple(least)
 
 
-def _orbit_of(v: int, autos: list[tuple[int, ...]]) -> set[int]:
-    seen = {v}
-    frontier = [v]
+def _orbit(seeds: list[int], autos: list[tuple[int, ...]], fixed: tuple[int, ...]) -> set[int]:
+    """The orbit of `seeds` under the automorphisms that fix each of `fixed`."""
+    gens = [g for g in autos if all(g[u] == u for u in fixed)]
+    seen = set(seeds)
+    frontier = list(seeds)
     while frontier:
         x = frontier.pop()
-        for g in autos:
+        for g in gens:
             y = g[x]
             if y not in seen:
                 seen.add(y)
@@ -115,63 +165,79 @@ def _orbit_of(v: int, autos: list[tuple[int, ...]]) -> set[int]:
     return seen
 
 
-def _search(K: SimplicialComplex) -> tuple[tuple[int, ...], list[int], list[tuple[int, ...]]]:
-    """Return (best encoding, ordering achieving it, automorphisms found)."""
+Search = tuple[tuple[int, ...], list[int], list[tuple[int, ...]], int]
+
+
+def _search(K: SimplicialComplex) -> Search:
+    """(least encoding, an ordering achieving it, harvested automorphisms, |Aut|)."""
     n = K.vertex_count
-    pd = _pair_degrees(K)
-    base = {}
+    verts = [tuple(_iter_bits(fm)) for fm in K.facet_masks]
+    pd = _pair_degrees(K, verts)
+    base: dict[tuple, list[int]] = {}
     for v in range(n):
         key = (pd[v][v], tuple(sorted(d for w, d in enumerate(pd[v]) if w != v and d >= 0)))
         base.setdefault(key, []).append(v)
-    cells = [sorted(base[k]) for k in sorted(base)]
-    cells = _refine(cells, pd)
+    root = _refine([sorted(base[k]) for k in sorted(base)], pd, [True] * len(base))
 
-    best: list = [None, None]  # encoding, order
+    first_path: list[int] = []
+    best: list = []  # [encoding, order, path] of the least leaf so far
     autos: list[tuple[int, ...]] = []
 
-    def recurse(cells: list[list[int]]) -> None:
+    def recurse(cells: list[list[int]], path: tuple[int, ...]) -> int:
+        """Search below the node that individualised `path`; return the depth
+        of the node that goes on with its next child."""
+        depth = len(path)
+        bound = _least_encoding(cells, verts, n)
+        if best and bound > best[0]:
+            return depth
         target = next((ci for ci, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             order = [c[0] for c in cells]
-            enc = _encode(K, order)
-            if best[0] is None or enc < best[0]:
-                best[0], best[1] = enc, order
-            elif enc == best[0]:
-                prev = best[1]
-                pos_prev = [0] * n
-                for p, v in enumerate(prev):
-                    pos_prev[v] = p
-                g = tuple(order[pos_prev[v]] for v in range(n))
-                if any(g[v] != v for v in range(n)) and g not in autos:
-                    autos.append(g)
-            return
+            if not best:
+                first_path.extend(path)
+            if not best or bound < best[0]:
+                best[:] = [bound, order, path]
+                return depth
+            g = tuple(w for _, w in sorted(zip(best[1], order)))  # best order's p-th vertex -> order[p]
+            if g not in autos:
+                autos.append(g)
+            # g fixes the common prefix and maps the best path's next vertex,
+            # a child tried before, onto this path's: that child is done
+            return next(i for i, (a, b) in enumerate(zip(path, best[2])) if a != b)
+        cell = cells[target]
+        fresh = [False] * (len(cells) + 1)
+        fresh[target] = fresh[target + 1] = True
         tried: list[int] = []
-        for v in cells[target]:
-            if tried and (_orbit_of(v, autos) & set(tried)):
+        for v in cell:
+            if tried and v in _orbit(tried, autos, path):
                 continue
-            rest = [w for w in cells[target] if w != v]
-            nxt = cells[:target] + [[v], rest] + cells[target + 1 :]
-            recurse(_refine(nxt, pd))
+            child = cells[:target] + [[v], [w for w in cell if w != v]] + cells[target + 1 :]
+            resume = recurse(_refine(child, pd, fresh), path + (v,))
+            if resume < depth:
+                return resume
             tried.append(v)
+        return depth
 
-    recurse(cells)
-    return best[0], best[1], autos
+    recurse(root, ())
+    order = 1
+    for k, v in enumerate(first_path):
+        order *= len(_orbit([v], autos, tuple(first_path[:k])))
+    return best[0], best[1], autos, order
+
+
+def _searched(K: SimplicialComplex) -> Search:
+    """`_search(K)`, run once per complex and kept on it."""
+    if K._search_cache is None:
+        K._search_cache = _search(K)
+    return K._search_cache
 
 
 def canonical_form(K: SimplicialComplex) -> CanonicalForm:
     """Encoding invariant under every relabeling of ``K``."""
-    if K.vertex_count == 0:
-        return CanonicalForm(b"\x00", {})
-    enc, order, _ = _search(K)
-    return _canonical(K, enc, order)
-
-
-def _canonical(K: SimplicialComplex, enc: tuple[int, ...], order: list[int]) -> CanonicalForm:
-    n = K.vertex_count
+    enc, order, _, _ = _searched(K)
     pos = {v: p for p, v in enumerate(order)}
-    payload = bytes([n]) + b"".join(m.to_bytes(2, "little") for m in enc)
-    relabeling = {K.labels[v]: pos[v] for v in range(n)}
-    return CanonicalForm(payload, relabeling)
+    payload = bytes([K.vertex_count]) + b"".join(m.to_bytes(2, "little") for m in enc)
+    return CanonicalForm(payload, {lab: pos[v] for v, lab in enumerate(K.labels)})
 
 
 def canonical_relabel(K: SimplicialComplex) -> SimplicialComplex:
@@ -195,81 +261,14 @@ def are_isomorphic(
     return True, witness
 
 
-def _perm_order(gens: list[tuple[int, ...]], n: int) -> int:
-    """Group order by an orbit-stabilizer chain over the generators."""
-    gens = [g for g in gens if any(g[i] != i for i in range(n))]
-    if not gens:
-        return 1
-    b = next(i for i in range(n) if any(g[i] != i for g in gens))
-    transversal: dict[int, tuple[int, ...]] = {b: tuple(range(n))}
-    frontier = [b]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = g[x]
-            if y not in transversal:
-                transversal[y] = tuple(g[t] for t in transversal[x])
-                frontier.append(y)
-    stab: list[tuple[int, ...]] = []
-    seen = set()
-    for x, rep in transversal.items():
-        for g in gens:
-            word = tuple(g[rep[t]] for t in range(n))
-            back = transversal[g[x]]
-            inv = [0] * n
-            for i, t in enumerate(back):
-                inv[t] = i
-            schreier = tuple(inv[word[t]] for t in range(n))
-            if schreier not in seen:
-                seen.add(schreier)
-                stab.append(schreier)
-    return len(transversal) * _perm_order(stab, n)
-
-
 def automorphism_group(K: SimplicialComplex) -> PermutationGroup:
-    if K.vertex_count == 0:
-        return PermutationGroup((), (), 1)
-    return _group(K, _search(K)[2])
-
-
-def canonical_form_and_group(K: SimplicialComplex) -> tuple[CanonicalForm, PermutationGroup]:
-    """`canonical_form(K)` and `automorphism_group(K)` from one search."""
-    if K.vertex_count == 0:
-        return canonical_form(K), automorphism_group(K)
-    enc, order, autos = _search(K)
-    return _canonical(K, enc, order), _group(K, autos)
-
-
-def _group(K: SimplicialComplex, autos: list[tuple[int, ...]]) -> PermutationGroup:
+    _, _, autos, order = _searched(K)
     n = K.vertex_count
-    for g in autos:
-        mapped = {sum(1 << g[b] for b in _iter_bits(fm)) for fm in K.facet_masks}
-        if mapped != set(K.facet_masks):
-            raise AssertionError("harvested permutation is not an automorphism")
     gens = tuple(
         tuple(sorted((K.labels[v], K.labels[g[v]]) for v in range(n)))
         for g in autos
     )
-    return PermutationGroup(tuple(K.labels), gens, _perm_order(autos, n))
-
-
-def group_elements(group: PermutationGroup, cap: int = 10_000) -> list[dict[str, str]]:
-    """All elements by closure; guarded by `cap` against large groups."""
-    identity = {lab: lab for lab in group.domain}
-    gens = group.generator_maps()
-    elements = {tuple(sorted(identity.items())): identity}
-    frontier = [identity]
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            comp = {lab: h[g[lab]] for lab in group.domain}
-            key = tuple(sorted(comp.items()))
-            if key not in elements:
-                if len(elements) >= cap:
-                    raise PreconditionError(f"group closure exceeds cap {cap}")
-                elements[key] = comp
-                frontier.append(comp)
-    return list(elements.values())
+    return PermutationGroup(tuple(K.labels), gens, order)
 
 
 # -- group actions on labelled objects ---------------------------------------

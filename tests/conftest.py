@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from walkup import constructions
 from walkup.core import from_facets
+
+# One profile for every property test: the same examples on every run, a
+# bounded count, and no per-example deadline on a loaded machine.
+settings.register_profile("walkup", derandomize=True, max_examples=25, deadline=None)
+settings.load_profile("walkup")
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +42,14 @@ def neighbourly_census():
 
 
 @pytest.fixture(scope="session")
+def two_sphere_census():
+    """The 2-sphere census for n = 4..8, as one list in census order."""
+    from walkup.enumeration import enumerate_two_spheres
+
+    return [K for n in range(4, 9) for K in enumerate_two_spheres(n).complexes]
+
+
+@pytest.fixture(scope="session")
 def torus7():
     """The 7-vertex torus: facets (i, i+1, i+3) and (i, i+2, i+3) mod 7."""
     rot = lambda i, k: str((i + k - 1) % 7 + 1)  # noqa: E731
@@ -43,6 +57,15 @@ def torus7():
         [{str(i), rot(i, 1), rot(i, 3)} for i in range(1, 8)]
         + [{str(i), rot(i, 2), rot(i, 3)} for i in range(1, 8)]
     )
+
+
+@pytest.fixture(scope="session")
+def rp2():
+    """The 6-vertex real projective plane, the hemi-icosahedron: |Aut| = 60."""
+    return from_facets([
+        [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 6, 2],
+        [2, 3, 5], [3, 4, 6], [4, 5, 2], [5, 6, 3], [6, 2, 4],
+    ])
 
 
 @pytest.fixture(scope="session")

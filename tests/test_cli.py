@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,24 @@ def test_aut_runs_one_isomorphism_search(monkeypatch):
     assert data["canonical_digest"] == digest
     assert data["generators"] == [{a: b for a, b in g if a != b} for g in group.generators]
     assert outcome.text.splitlines()[:2] == ["order: 18", f"canonical digest: {digest}"]
+
+
+def test_aut_k27_order_42_under_relabelling(tmp_path):
+    """|Aut(k27)| = 42 (the affine maps x -> ax + b mod 7), as labelled and
+    after relabelling; the file input goes through the same command."""
+    from walkup import constructions
+
+    assert run(["aut", "k27"]).report["data"]["order"] == 42
+    K = constructions.walkup_complex(2)
+    rng = random.Random(27)
+    for i in range(6):
+        image = list(K.labels)
+        rng.shuffle(image)
+        path = tmp_path / f"k27-{i}.txt"
+        path.write_text(core.to_text(K.relabel(dict(zip(K.labels, image)))))
+        outcome = run(["aut", str(path)])
+        assert outcome.exit_code == 0
+        assert outcome.report["data"]["order"] == 42
 
 
 def test_verify_exit_codes():

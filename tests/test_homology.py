@@ -4,10 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from walkup import constructions, homology
 from walkup.core import PreconditionError, from_facets
-from walkup.homology import boundary_matrix, homology as homology_of, smith_normal_form
+from walkup.homology import (
+    _boundary_columns,
+    _sparse_smith,
+    boundary_matrix,
+    homology as homology_of,
+    smith_normal_form,
+)
 
 
 def _rank_rational(mat):
@@ -155,3 +162,29 @@ def test_homology_guardrail():
         homology_of(constructions.standard_sphere(4))
     with pytest.raises(PreconditionError):
         boundary_matrix(from_facets([{"a"}]), 1)
+
+
+def _sparse_rows(mat):
+    return [{c: x for c, x in enumerate(row) if x} for row in mat]
+
+
+@st.composite
+def _small_matrices(draw):
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    return [draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@given(_small_matrices())
+def test_sparse_smith_equals_dense(mat):
+    assert _sparse_smith(_sparse_rows(mat)) == smith_normal_form(mat)
+
+
+def test_sparse_smith_core_carries_torsion(k39, rp2):
+    """Unit pivots give only factors 1, so the 2 comes from the dense core."""
+    for K, i in ((k39, 3), (rp2, 2)):
+        factors, rank = _sparse_smith(_boundary_columns(K, i))
+        assert (factors, rank) == smith_normal_form(boundary_matrix(K, i))
+        assert factors == [1] * (rank - 1) + [2]
+        assert _sparse_smith(_sparse_rows(boundary_matrix(K, i))) == (factors, rank)
+    assert homology_of(k39).torsion == ((), (), (2,), ())
+    assert homology_of(rp2).torsion == ((), (2,), ())

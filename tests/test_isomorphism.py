@@ -1,19 +1,96 @@
 from __future__ import annotations
 
+import hashlib
+import math
 import random
-from itertools import permutations
+from itertools import permutations, product
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from walkup import constructions
+from walkup.bistellar import random_three_sphere
 from walkup.core import PreconditionError, from_facets
 from walkup.isomorphism import (
     automorphism_group,
     are_isomorphic,
     canonical_form,
-    group_elements,
     orbits,
 )
+
+
+def _incidence_aut_count(K) -> int:
+    """|Aut(K)| by networkx: the automorphisms of the vertex-facet incidence
+    graph that map vertices to vertices.  Facets are distinct vertex sets, so
+    such an automorphism is determined by what it does to the vertices."""
+    G = nx.Graph()
+    G.add_nodes_from((("v", v) for v in K.labels), side=0)
+    for i, f in enumerate(K.facets()):
+        G.add_node(("f", i), side=1)
+        G.add_edges_from((("v", v), ("f", i)) for v in f)
+    matcher = GraphMatcher(G, G, node_match=lambda a, b: a["side"] == b["side"])
+    return sum(1 for _ in matcher.isomorphisms_iter())
+
+
+def _cross_polytope(d: int):
+    """The boundary of the d-dimensional cross-polytope: one vertex of each of
+    d antipodal pairs per facet."""
+    return from_facets([[f"{i}{'+-'[s]}" for i, s in enumerate(signs)] for signs in product((0, 1), repeat=d)])
+
+
+@pytest.fixture(scope="module")
+def aut_pool(two_sphere_census, neighbourly_census, rp2):
+    """(name, complex, networkx |Aut|) for the 2-sphere census n = 4..8, the
+    51 neighbourly classes, walkup_complex(2..6), seeded random 3-spheres,
+    RP^2 and the one-point suspension of k27."""
+    named = [(f"two-sphere {i}", K) for i, K in enumerate(two_sphere_census)]
+    named += [(f"neighbourly {i}", K) for i, K in enumerate(neighbourly_census.complexes)]
+    named += [(f"walkup_complex({d})", constructions.walkup_complex(d)) for d in range(2, 7)]
+    named += [(f"random_three_sphere({s})", random_three_sphere(s)) for s in range(6)]
+    named += [("rp2", rp2), ("k27+suspension", constructions.walkup_complex(2).one_point_suspension("1", "s"))]
+    return [(name, K, _incidence_aut_count(K)) for name, K in named]
+
+
+def test_incidence_oracle_on_known_groups(aut_pool):
+    known = {name: order for name, _, order in aut_pool}
+    assert known["walkup_complex(2)"] == 42
+    assert known["walkup_complex(3)"] == 18
+    assert known["rp2"] == 60
+    assert known["k27+suspension"] == 12
+    assert len(aut_pool) == 23 + 51 + 5 + 6 + 2
+
+
+def test_aut_order_matches_networkx(aut_pool):
+    for name, K, order in aut_pool:
+        assert automorphism_group(K).order == order, name
+
+
+@settings(max_examples=8)
+@given(st.data())
+def test_relabelling_keeps_aut_order_and_canonical_bytes(aut_pool, data):
+    for name, K, order in aut_pool:
+        image = data.draw(st.permutations(K.labels))
+        L = K.relabel(dict(zip(K.labels, image)))
+        assert automorphism_group(L).order == order, name
+        assert canonical_form(L).bytes == canonical_form(K).bytes, name
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_cross_polytope_orders(d):
+    assert automorphism_group(_cross_polytope(d)).order == 2**d * math.factorial(d)
+
+
+def _census_digest(complexes) -> str:
+    return hashlib.sha256(b"".join(sorted(canonical_form(K).bytes for K in complexes))).hexdigest()[:16]
+
+
+def test_canonical_bytes_locked(two_sphere_census, neighbourly_census):
+    """The sorted canonical bytes of both censuses are fixed: a faster or
+    differently pruned search must find the same least encodings."""
+    assert _census_digest(two_sphere_census) == "f0483b943d22522c"
+    assert _census_digest(neighbourly_census.complexes) == "e2b653212cbcc1e4"
 
 
 def _random_relabel(K, rng):
@@ -113,8 +190,7 @@ def test_generators_preserve_facets(catalog, k39):
         for gen in group.generator_maps():
             mapped = {frozenset(gen[v] for v in f) for f in K.facets()}
             assert mapped == set(K.facets())
-        # closure agrees with the stabilizer-chain order (spec cap 10^4)
-        assert len(group_elements(group)) == group.order
+        assert group.order == _incidence_aut_count(K)
 
 
 def test_orbit_partition(k39):
