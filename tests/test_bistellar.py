@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -19,7 +20,7 @@ from walkup.bistellar import (
     removable_faces,
     star_vertex,
 )
-from walkup.core import PreconditionError, from_facets
+from walkup.core import PreconditionError, from_facets, to_text
 from walkup.isomorphism import canonical_form
 
 
@@ -219,6 +220,30 @@ def test_random_sphere_generator_is_seeded():
     assert a != c
     assert a.vertex_count == 9
     assert recognition.is_combinatorial_3_manifold(a)
+
+
+# The seeded move stream: the spheres grown by `random_three_sphere` and the
+# reductions of the 9-vertex ones, move by move.  Any change to move detection
+# that alters which move the generator picks, or the order of a reduction's
+# moves, changes this digest and with it every seeded workload.
+STREAM_CASES = [(s, 9) for s in range(40)] + [(s, v) for v in (5, 12, 16) for s in range(3)]
+STREAM_DIGEST = "9f46ecb538d527da9b2293eb0b0c63cf32d2e3a26ea329b7450c793518517e53"
+
+
+def test_seeded_move_stream_is_pinned():
+    def labels(face):
+        return " ".join(sorted(face, key=bistellar._label_key))
+
+    h = hashlib.sha256()
+    for s, v in STREAM_CASES:
+        K = random_three_sphere(s, vertices=v)
+        h.update(to_text(K).encode())
+        if v == 9:
+            reduced, moves = neighbourly_reduction(K)
+            h.update(to_text(reduced).encode())
+            for m in moves:
+                h.update(f"{labels(m.alpha)}|{labels(m.beta)}|{m.move_type}\n".encode())
+    assert h.hexdigest() == STREAM_DIGEST
 
 
 # -- an independent reference: plain frozensets, no masks ----------------------
