@@ -1,4 +1,4 @@
-"""Bistellar moves: detection, application, degree raising and flip search.
+"""Bistellar moves: detection, application, degree raising and reduction.
 
 A move is carried by a removable face alpha together with the opposing
 non-face beta: the link of alpha must be the boundary sphere of the simplex
@@ -7,10 +7,16 @@ on beta's vertices.  Applying the move replaces every facet through alpha by
 0 < i < dim are proper and leave the vertex count unchanged; a dim-move
 deletes a vertex and starring a vertex in a facet is its inverse.
 
-Preconditions are checked once per public call, never in inner loops:
-bistellar moves preserve the PL type, so a pseudomanifold or 3-manifold
-stays one.  `random_three_sphere` checks nothing, as its complexes are
-spheres by construction.  Detection works on face masks throughout.
+Where moves are validated: the public entry points check their input once
+per call (`removable_faces` and `proper_moves` need a pseudomanifold,
+`raise_min_degree` and `neighbourly_reduction` a combinatorial 3-manifold),
+and `apply_move` re-classifies the move it is given and rejects a stale one.
+Where they are not: inside `random_three_sphere` and `neighbourly_reduction`
+a move is applied right after it was detected on the same complex, so it is
+applied unchecked, and nothing is re-checked after it, as bistellar moves
+preserve the PL type.  `random_three_sphere` checks nothing at all: its
+complexes are spheres by construction.  Detection finds every move of the
+requested types in one pass over the facet masks.
 """
 
 from __future__ import annotations
@@ -21,8 +27,7 @@ from itertools import combinations
 from typing import Iterable
 
 from . import recognition
-from .core import Face, PreconditionError, SimplicialComplex, _iter_bits, _label_key, from_facets
-from .isomorphism import canonical_form
+from .core import Face, PreconditionError, SimplicialComplex, _bits, _iter_bits, _label_key, from_facets
 
 
 class LemmaViolation(RuntimeError):
@@ -87,19 +92,45 @@ def removable_faces(K: SimplicialComplex, i: int) -> list[BistellarMove]:
         raise PreconditionError(f"move type {i} out of range 1..{d}")
     if not recognition.is_pseudomanifold(K):
         raise PreconditionError("move detection needs a pseudomanifold")
-    return _moves(K, [i])
+    return _as_moves(K, _detect(K, [i]))
 
 
-def _moves(K: SimplicialComplex, types: Iterable[int]) -> list[BistellarMove]:
-    """The moves of the given types, sorted; the caller has checked K."""
-    moves = []
+def _detect(K: SimplicialComplex, types: Iterable[int]) -> list[tuple[int, int, int]]:
+    """(alpha, beta, i) masks of the moves of the given types on the pure
+    pseudomanifold K, in `BistellarMove.sort_key` order.
+
+    One pass over the facets per type counts the facets through each
+    candidate alpha and unites them.  alpha is removable for an i-move
+    exactly when i + 1 facets pass through it, beta = union - alpha has
+    i + 1 vertices and beta is not a face: i + 1 distinct i-subsets of an
+    (i+1)-set are all of its facets, so lk(alpha) is the boundary of the
+    simplex on beta.
+    """
+    found = []
     for i in types:
-        for am in K.faces_masks(K.dim - i):
-            status, beta = _classify_mask(K, am)
-            if status == REMOVABLE:
-                moves.append(BistellarMove(K.face_labels(am), K.face_labels(beta), i))
-    moves.sort(key=BistellarMove.sort_key)
-    return moves
+        count, union = K.stars(K.dim - i + 1)
+        for a, c in count.items():
+            beta = union[a] & ~a
+            if c == i + 1 == beta.bit_count() and not K.has_face_mask(beta):
+                found.append((a, beta, i))
+    # ids follow label order, so ascending bits sort as the labels do
+    found.sort(key=lambda m: (_bits(m[0]), _bits(m[1])))
+    return found
+
+
+def _as_moves(K: SimplicialComplex, found: list[tuple[int, int, int]]) -> list[BistellarMove]:
+    return [BistellarMove(K.face_labels(a), K.face_labels(b), i) for a, b, i in found]
+
+
+def _apply(K: SimplicialComplex, alpha: int, beta: int) -> SimplicialComplex:
+    """The move (alpha, beta), valid on K: no re-classification, and the new
+    facets already form an antichain.  Only a vertex removal renumbers."""
+    masks = [f for f in K.facet_masks if f & alpha != alpha]
+    masks += [beta | (alpha ^ (1 << b)) for b in _iter_bits(alpha)]
+    if alpha.bit_count() == 1:
+        return SimplicialComplex._from_masks(masks, K.labels)
+    masks.sort()
+    return SimplicialComplex(tuple(masks), K.labels)
 
 
 def apply_move(K: SimplicialComplex, move: BistellarMove) -> SimplicialComplex:
@@ -110,9 +141,7 @@ def apply_move(K: SimplicialComplex, move: BistellarMove) -> SimplicialComplex:
     status, beta = _classify_mask(K, am)
     if status != REMOVABLE or K.face_labels(beta) != frozenset(move.beta):
         raise PreconditionError(f"stale move: {move.describe()} ({status})")
-    kept = [f for f in K.facet_masks if f & am != am]
-    added = [beta | (am ^ (1 << b)) for b in _iter_bits(am)]
-    return SimplicialComplex._from_masks(kept + added, K.labels)
+    return _apply(K, am, beta)
 
 
 def star_vertex(K: SimplicialComplex, facet: Face, label) -> SimplicialComplex:
@@ -133,26 +162,18 @@ def star_vertex(K: SimplicialComplex, facet: Face, label) -> SimplicialComplex:
 
 def vertex_degrees(K: SimplicialComplex) -> dict[str, int]:
     """Link vertex counts: the popcount of the union of a vertex's facets, less 1."""
-    union = [0] * K.vertex_count
-    for f in K.facet_masks:
-        for b in _iter_bits(f):
-            union[b] |= f
-    return {v: union[b].bit_count() - 1 for b, v in enumerate(K.labels)}
+    union = K.stars(1)[1]
+    return {v: union[1 << b].bit_count() - 1 for b, v in enumerate(K.labels)}
 
 
 def degree_raising_moves(K: SimplicialComplex, u) -> list[BistellarMove]:
     """Every 1-move creating an edge at u: exhaustive over triangles of lk(u)."""
     if K.dim != 3:
         raise PreconditionError("degree raising is a dimension-3 operation")
-    moves = []
-    # lk(tri) holds the point u, so only a triangle can be removable, and its
-    # beta is the new edge {u, x}
-    for tri in K.link_masks(K.mask_of([u])):
-        status, beta = _classify_mask(K, tri)
-        if status == REMOVABLE:
-            moves.append(BistellarMove(K.face_labels(tri), K.face_labels(beta), 1))
-    moves.sort(key=BistellarMove.sort_key)
-    return moves
+    um = K.mask_of([u])
+    # every facet through a triangle is a tetrahedron, so `_detect` is exact
+    # here on any 3-complex; the moves at u are those whose new edge holds u
+    return _as_moves(K, [m for m in _detect(K, [1]) if m[1] & um])
 
 
 def raise_min_degree(K: SimplicialComplex) -> BistellarMove:
@@ -167,17 +188,18 @@ def raise_min_degree(K: SimplicialComplex) -> BistellarMove:
         raise PreconditionError(f"degree raising is guaranteed only for n <= 9, got {n}")
     if not recognition.is_combinatorial_3_manifold(K):
         raise PreconditionError("degree raising needs a combinatorial 3-manifold")
-    return _raise_min_degree(K)
+    return _as_moves(K, [_raise_min_degree(K)])[0]
 
 
-def _raise_min_degree(K: SimplicialComplex) -> BistellarMove:
+def _raise_min_degree(K: SimplicialComplex) -> tuple[int, int, int]:
     n = K.vertex_count
     degrees = vertex_degrees(K)
     k = min(degrees.values())
     if k > n - 2:
         raise PreconditionError(f"minimum degree {k} exceeds n-2 = {n - 2} (already neighbourly)")
     u = min((v for v, dv in degrees.items() if dv == k), key=_label_key)
-    moves = degree_raising_moves(K, u)
+    um = K.mask_of([u])
+    moves = [m for m in _detect(K, [1]) if m[1] & um]
     if not moves:
         raise LemmaViolation(
             f"no 1-move raises deg({u}) = {k} on an n={n} combinatorial 3-manifold"
@@ -199,66 +221,18 @@ def neighbourly_reduction(
         raise PreconditionError("neighbourly reduction needs a combinatorial 3-manifold")
     moves: list[BistellarMove] = []
     current = K
-    budget = 36 - len(current.faces_masks(1))
-    while not recognition.is_neighbourly(current):
-        if len(moves) >= budget:
-            raise LemmaViolation("reduction exceeded the edge-count budget")
+    for _ in range(36 - len(K.faces_masks(1))):
         move = _raise_min_degree(current)
-        current = apply_move(current, move)
-        moves.append(move)
+        moves += _as_moves(current, [move])
+        current = _apply(current, move[0], move[1])
     return current, moves
-
-
-# -- flip graph search ---------------------------------------------------------
 
 
 def proper_moves(K: SimplicialComplex) -> list[BistellarMove]:
     """All i-moves with 0 < i < dim on the pseudomanifold K."""
     if K.dim > 1 and not recognition.is_pseudomanifold(K):
         raise PreconditionError("move detection needs a pseudomanifold")
-    return _moves(K, range(1, K.dim))
-
-
-def flip_reachable(
-    K: SimplicialComplex,
-    L: SimplicialComplex,
-    move_budget: int,
-    vertex_cap: int,
-) -> tuple[bool, list[BistellarMove] | None]:
-    """Breadth-first search of the proper-move flip graph, canonical dedupe.
-
-    False means "not found within the budget", not a proof of unreachability.
-    """
-    if move_budget <= 0 or vertex_cap <= 0:
-        raise PreconditionError("move budget and vertex cap must be positive")
-    if K.dim != L.dim:
-        raise PreconditionError("flip search needs complexes of equal dimension")
-    if K.vertex_count > vertex_cap or L.vertex_count > vertex_cap:
-        raise PreconditionError("input exceeds the vertex cap")
-    target = canonical_form(L).bytes
-    start = canonical_form(K).bytes
-    if start == target:
-        return True, []
-    if K.dim > 1 and not recognition.is_pseudomanifold(K):
-        raise PreconditionError("move detection needs a pseudomanifold")
-    seen = {start}
-    frontier: list[tuple[SimplicialComplex, list[BistellarMove]]] = [(K, [])]
-    for _ in range(move_budget):
-        next_frontier: list[tuple[SimplicialComplex, list[BistellarMove]]] = []
-        for current, path in frontier:
-            for move in _moves(current, range(1, current.dim)):
-                after = apply_move(current, move)
-                digest = canonical_form(after).bytes
-                if digest in seen:
-                    continue
-                if digest == target:
-                    return True, path + [move]
-                seen.add(digest)
-                next_frontier.append((after, path + [move]))
-        if not next_frontier:
-            return False, None
-        frontier = next_frontier
-    return False, None
+    return _as_moves(K, _detect(K, range(1, K.dim)))
 
 
 # -- seeded random spheres -----------------------------------------------------
@@ -278,20 +252,25 @@ def random_three_sphere(
         raise PreconditionError("vertex target out of range 5..16")
     rng = random.Random(seed)
     K = from_facets(combinations([str(i) for i in range(1, 6)], 4))
-    next_label = 6
 
     def random_proper_step(current: SimplicialComplex) -> SimplicialComplex:
-        moves = _moves(current, range(1, current.dim))
+        moves = _detect(current, range(1, current.dim))
         if not moves:
             return current
-        return apply_move(current, rng.choice(moves))
+        alpha, beta, _ = rng.choice(moves)
+        return _apply(current, alpha, beta)
 
     while K.vertex_count < vertices:
         for _ in range(rng.randrange(0, 3)):
             K = random_proper_step(K)
-        facet = rng.choice(K.facets())
-        K = star_vertex(K, facet, str(next_label))
-        next_label += 1
+        # star a random facet from vertex n, labelled n + 1: the labels stay
+        # 1..n+1 in id order, as `star_vertex` would number them
+        facet = rng.choice(K.facet_masks)
+        n = K.vertex_count
+        masks = [f for f in K.facet_masks if f != facet]
+        masks += [(facet ^ (1 << b)) | (1 << n) for b in _iter_bits(facet)]
+        masks.sort()
+        K = SimplicialComplex(tuple(masks), K.labels + (str(n + 1),))
     for _ in range(churn):
         K = random_proper_step(K)
     return K

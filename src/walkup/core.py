@@ -4,13 +4,14 @@ Vertices are kept as display labels (strings such as ``1``, ``x`` or ``5'``)
 and normalized internally to dense ids 0..n-1.  Every face is a bitmask over
 those ids, so subset tests, links and joins are single machine-word
 operations.  Complexes are immutable values: every operation returns a new
-complex, and per-dimension face lists are cached write-once.
+complex.  The face set and the per-dimension face lists are built from a
+table of each facet's subfaces on first use and cached write-once.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 16
@@ -47,6 +48,25 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@lru_cache(maxsize=None)
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending."""
+    return tuple(_iter_bits(mask))
+
+
+@lru_cache(maxsize=None)
+def _subfaces(facet: int) -> tuple[tuple[int, ...], ...]:
+    """The non-empty submasks of a facet mask by vertex count: entry k holds
+    the k-vertex ones, for k = 0..MAX_VERTICES.  Keys are masks over at most
+    16 vertices, so this memo, like `_bits`, stays bounded."""
+    table: list[list[int]] = [[] for _ in range(MAX_VERTICES + 1)]
+    sub = facet
+    while sub:
+        table[sub.bit_count()].append(sub)
+        sub = (sub - 1) & facet
+    return tuple(tuple(t) for t in table)
+
+
 def _antichain(masks: Iterable[int]) -> list[int]:
     """Drop masks contained in another mask; result sorted ascending."""
     distinct = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
@@ -66,13 +86,14 @@ class SimplicialComplex:
     in 0..n-1 following the canonical label order.
     """
 
-    __slots__ = ("facet_masks", "labels", "dim", "_index", "_faces_cache", "_search_cache")
+    __slots__ = ("facet_masks", "labels", "dim", "_index", "_face_set", "_faces_cache", "_search_cache")
 
     def __init__(self, facet_masks: tuple[int, ...], labels: tuple[str, ...]):
         self.facet_masks = facet_masks
         self.labels = labels
         self.dim = max((m.bit_count() for m in facet_masks), default=0) - 1
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self._face_set: set[int] | None = None  # every face mask, built on first use
         self._faces_cache: dict[int, tuple[int, ...]] = {}
         self._search_cache = None  # isomorphism._search(self), written once
 
@@ -121,7 +142,9 @@ class SimplicialComplex:
         return frozenset(self.labels[b] for b in _iter_bits(mask))
 
     def has_face_mask(self, mask: int) -> bool:
-        return mask != 0 and any(f & mask == mask for f in self.facet_masks)
+        if self._face_set is None:  # write-once; safe to race
+            self._face_set = set().union(*(sub for f in self.facet_masks for sub in _subfaces(f)))
+        return mask in self._face_set
 
     def _face_mask(self, face: Face) -> int:
         """The mask of `face`, which must be a face of the complex."""
@@ -146,18 +169,7 @@ class SimplicialComplex:
             raise PreconditionError(f"face dimension {i} out of range 0..{self.dim}")
         cached = self._faces_cache.get(i)
         if cached is None:
-            found = set()
-            size = i + 1
-            for fm in self.facet_masks:
-                bits = list(_iter_bits(fm))
-                if len(bits) < size:
-                    continue
-                for combo in combinations(bits, size):
-                    m = 0
-                    for b in combo:
-                        m |= 1 << b
-                    found.add(m)
-            cached = tuple(sorted(found))
+            cached = tuple(sorted(set().union(*(_subfaces(f)[i + 1] for f in self.facet_masks))))
             self._faces_cache[i] = cached  # write-once; safe to race
         return cached
 
@@ -237,13 +249,25 @@ class SimplicialComplex:
             [{new_names[b] for b in _iter_bits(fm)} for fm in self.facet_masks]
         )
 
+    def stars(self, size: int) -> tuple[dict[int, int], dict[int, int]]:
+        """For every face with `size` vertices, in one pass over the facets:
+        the number of facets through it, and the union of those facets."""
+        count: dict[int, int] = {}
+        union: dict[int, int] = {}
+        for f in self.facet_masks:
+            for a in _subfaces(f)[size]:
+                count[a] = count.get(a, 0) + 1
+                union[a] = union.get(a, 0) | f
+        return count, union
+
     def degree(self, face: Face) -> int:
         return self.link(face).vertex_count
 
     def edge_degree_histogram(self) -> dict[int, int]:
+        """Edge degrees: the popcount of the union of an edge's facets, less 2."""
         hist: dict[int, int] = {}
-        for em in self.faces_masks(1):
-            d = self.link(self.face_labels(em)).vertex_count
+        for u in self.stars(2)[1].values():
+            d = u.bit_count() - 2
             hist[d] = hist.get(d, 0) + 1
         return hist
 

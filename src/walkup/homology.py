@@ -4,14 +4,15 @@ Boundary matrices are exact integer matrices with faces sorted by bitmask
 value and signs from the ascending-vertex orientation.  The normal form
 first eliminates +-1 pivots on sparse rows; each contributes an invariant
 factor 1, and boundary matrices of manifolds are nearly all such pivots.
-The residual core goes to the dense `smith_normal_form`, which uses plain
-arbitrary-precision integers and smallest-pivot selection.  Invariant
+The residual core goes to the dense `smith_normal_form`, which works modulo
+twice a non-zero maximal minor, so its entries stay bounded.  Invariant
 factors are unique, so the split changes no result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .core import PreconditionError, SimplicialComplex, _iter_bits
 
@@ -57,57 +58,81 @@ def boundary_matrix(K: SimplicialComplex, i: int) -> Matrix:
     return [[col.get(r, 0) for col in cols] for r in range(len(K.faces_masks(i - 1)))]
 
 
-def smith_normal_form(mat: Matrix) -> tuple[list[int], int]:
-    """Invariant factors d1 | d2 | ... and the rank, over exact integers."""
-    a = [row[:] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    t = 0
-    while True:
-        pivot = None
-        for r in range(t, m):
-            for c in range(t, n):
-                if a[r][c] and (pivot is None or abs(a[r][c]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (r, c)
-        if pivot is None:
-            break
-        r0, c0 = pivot
-        a[t], a[r0] = a[r0], a[t]
-        for row in a:
-            row[t], row[c0] = row[c0], row[t]
-        while True:
-            reduced = False
-            for r in range(t + 1, m):
-                if a[r][t]:
-                    q = a[r][t] // a[t][t]
-                    for c in range(t, n):
-                        a[r][c] -= q * a[t][c]
-                    if a[r][t]:  # remainder became the smaller pivot
-                        a[t], a[r] = a[r], a[t]
-                        reduced = True
-            for c in range(t + 1, n):
-                if a[t][c]:
-                    q = a[t][c] // a[t][t]
-                    for r in range(t, m):
-                        a[r][c] -= q * a[r][t]
-                    if a[t][c]:
-                        for r in range(t, m):
-                            a[r][t], a[r][c] = a[r][c], a[r][t]
-                        reduced = True
-            if not reduced:
-                break
-        t += 1
-    factors = [abs(a[k][k]) for k in range(t)]
-    # enforce the divisibility chain d1 | d2 | ...
-    from math import gcd
+def _pivot(a: Matrix, t: int) -> bool:
+    """Move a non-zero entry of the block a[t:][t:] to (t, t), if there is one."""
+    found = next(((r, c) for r in range(t, len(a)) for c in range(t, len(a[0])) if a[r][c]), None)
+    if found is None:
+        return False
+    r, c = found
+    a[t], a[r] = a[r], a[t]
+    for row in a:
+        row[t], row[c] = row[c], row[t]
+    return True
 
+
+def _rank_and_minor(mat: Matrix) -> tuple[int, int]:
+    """The rank r and a non-zero r x r minor (1 when r = 0), by fraction-free
+    (Bareiss) elimination: every entry stays a minor of `mat`."""
+    a = [row[:] for row in mat]
+    m, n = len(a), len(a[0]) if a else 0
+    prev = 1
+    for t in range(min(m, n)):
+        if not _pivot(a, t):
+            return t, prev
+        p = a[t][t]
+        for r in range(t + 1, m):
+            x = a[r][t]
+            a[r] = [0] * (t + 1) + [(p * a[r][c] - x * a[t][c]) // prev for c in range(t + 1, n)]
+        prev = p
+    return min(m, n), prev
+
+
+def smith_normal_form(mat: Matrix) -> tuple[list[int], int]:
+    """Invariant factors d1 | d2 | ... and the rank, over exact integers.
+
+    The product of the r non-zero factors divides every non-zero r x r
+    minor D, so working modulo M = 2|D| loses none of them: over Z/M the
+    matrix has the factors gcd(d_i, M) = d_i, and M stands for 0.  The
+    elimination uses unimodular extended-gcd steps on rows, and on columns
+    as rows of the transpose, with entries kept in 0..M-1, so its cost is
+    polynomial in the input size.
+    """
+    rank, minor = _rank_and_minor(mat)
+    if rank == 0:
+        return [], 0
+    M = 2 * abs(minor)
+    a = [[x % M for x in row] for row in mat]
+    factors = []
+    for t in range(min(len(a), len(a[0]))):
+        if not _pivot(a, t):
+            break
+        while True:  # the pivot only falls to proper divisors, so this ends
+            for r in range(t + 1, len(a)):
+                if a[r][t]:
+                    a[t], a[r] = _unimodular(a[t], a[r], t, M)
+            if not any(a[t][t + 1:]):
+                break
+            a = [list(col) for col in zip(*a)]  # clear row t as a column
+        factors.append(gcd(a[t][t], M))
+    # enforce the divisibility chain d1 | d2 | ...
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             if factors[j] % factors[i]:
                 g = gcd(factors[i], factors[j])
                 factors[i], factors[j] = g, factors[i] * factors[j] // g
     factors.sort()
-    return factors, len(factors)
+    return factors[:rank], rank  # the rest stand for 0
+
+
+def _unimodular(u: list[int], v: list[int], t: int, M: int) -> tuple[list[int], list[int]]:
+    """The determinant-1 combination of u and v, with u[t] != 0, that leaves
+    gcd(u[t], v[t]) and 0 at position t, and u itself when u[t] | v[t];
+    entries modulo M."""
+    g = gcd(u[t], v[t])
+    a, b = u[t] // g, v[t] // g
+    s = pow(a, -1, b) if b > 1 else 1
+    k = (1 - s * a) // b  # s*a + k*b = 1
+    return [(s * x + k * y) % M for x, y in zip(u, v)], [(a * y - b * x) % M for x, y in zip(u, v)]
 
 
 def _sparse_smith(rows: list[dict[int, int]]) -> tuple[list[int], int]:

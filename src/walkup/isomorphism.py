@@ -71,25 +71,14 @@ class PermutationGroup:
         return [dict(g) for g in self.generators]
 
 
-def _pair_degrees(K: SimplicialComplex, verts: list[tuple[int, ...]]) -> list[list[int]]:
-    """deg({v,w}) for every edge, -1 for non-edges; diagonal holds deg(v).
-
-    `verts` lists each facet's vertices in ascending order."""
+def _pair_degrees(K: SimplicialComplex) -> list[list[int]]:
+    """deg({v,w}) for every edge, -1 for non-edges; diagonal holds deg(v)."""
     n = K.vertex_count
-    star = [0] * n
-    pair = [[0] * n for _ in range(n)]
-    for fm, vs in zip(K.facet_masks, verts):
-        for i, v in enumerate(vs):
-            star[v] |= fm
-            row = pair[v]
-            for w in vs[i + 1 :]:
-                row[w] |= fm
     pd = [[-1] * n for _ in range(n)]
-    for v in range(n):
-        pd[v][v] = star[v].bit_count() - 1
-        for w in range(v + 1, n):
-            if pair[v][w]:
-                pd[v][w] = pd[w][v] = pair[v][w].bit_count() - 2
+    for size in (1, 2):
+        for face, union in K.stars(size)[1].items():
+            v, w = (face & -face).bit_length() - 1, face.bit_length() - 1
+            pd[v][w] = pd[w][v] = union.bit_count() - size
     return pd
 
 
@@ -172,7 +161,7 @@ def _search(K: SimplicialComplex) -> Search:
     """(least encoding, an ordering achieving it, harvested automorphisms, |Aut|)."""
     n = K.vertex_count
     verts = [tuple(_iter_bits(fm)) for fm in K.facet_masks]
-    pd = _pair_degrees(K, verts)
+    pd = _pair_degrees(K)
     base: dict[tuple, list[int]] = {}
     for v in range(n):
         key = (pd[v][v], tuple(sorted(d for w, d in enumerate(pd[v]) if w != v and d >= 0)))

@@ -50,13 +50,7 @@ class RecognitionReport:
 
 
 def _purity_witness(K: SimplicialComplex) -> int | None:
-    if not K.facet_masks:
-        return None
-    top = max(m.bit_count() for m in K.facet_masks)
-    for m in K.facet_masks:
-        if m.bit_count() != top:
-            return m
-    return None
+    return next((m for m in K.facet_masks if m.bit_count() != K.dim + 1), None)
 
 
 def _connected(masks: Sequence[int]) -> bool:
@@ -79,32 +73,18 @@ def _connected(masks: Sequence[int]) -> bool:
     return not pending
 
 
-def _ridge_counts(K: SimplicialComplex) -> dict[int, int]:
-    d = K.dim
-    counts: dict[int, int] = {}
-    for rm in K.faces_masks(d - 1):
-        counts[rm] = sum(1 for f in K.facet_masks if f & rm == rm)
-    return counts
-
-
-def _facet_graph_connected(K: SimplicialComplex) -> tuple[bool, int | None]:
-    """Connectivity of the facet adjacency graph across shared ridges."""
+def _unreached_facet(K: SimplicialComplex) -> int | None:
+    """The first facet not reached from the first one across shared ridges."""
     facets = K.facet_masks
-    if len(facets) <= 1:
-        return True, None
-    d = K.dim
     seen = {0}
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(len(facets)):
-            if j not in seen and (facets[i] & facets[j]).bit_count() == d:
+            if j not in seen and (facets[i] & facets[j]).bit_count() == K.dim:
                 seen.add(j)
                 stack.append(j)
-    if len(seen) == len(facets):
-        return True, None
-    missing = next(j for j in range(len(facets)) if j not in seen)
-    return False, facets[missing]
+    return next((f for j, f in enumerate(facets) if j not in seen), None)
 
 
 def pseudomanifold_witness(K: SimplicialComplex) -> frozenset[str] | None:
@@ -114,13 +94,12 @@ def pseudomanifold_witness(K: SimplicialComplex) -> frozenset[str] | None:
     bad = _purity_witness(K)
     if bad is not None:
         return K.face_labels(bad)
-    for rm, c in _ridge_counts(K).items():
-        if c != 2:
+    counts = K.stars(K.dim)[0]
+    for rm in sorted(counts):
+        if counts[rm] != 2:
             return K.face_labels(rm)
-    ok, lost = _facet_graph_connected(K)
-    if not ok:
-        return K.face_labels(lost)
-    return None
+    lost = _unreached_facet(K)
+    return None if lost is None else K.face_labels(lost)
 
 
 def is_pseudomanifold(K: SimplicialComplex) -> bool:
@@ -152,8 +131,9 @@ def closed_surface_witness(K: SimplicialComplex) -> frozenset[str] | None:
     bad = _purity_witness(K)
     if bad is not None:
         return K.face_labels(bad)
-    for em, c in _ridge_counts(K).items():
-        if c != 2:
+    counts = K.stars(2)[0]
+    for em in sorted(counts):
+        if counts[em] != 2:
             return K.face_labels(em)
     # every edge lies in two triangles, so a vertex link is a cycle when connected
     for b, v in enumerate(K.labels):
@@ -216,13 +196,6 @@ def singular_vertices(K: SimplicialComplex) -> list[str]:
 COLLAPSE_VERTEX_GUARDRAIL = 8
 
 
-def _all_faces(K: SimplicialComplex) -> list[int]:
-    faces: list[int] = []
-    for i in range(K.dim + 1):
-        faces.extend(K.faces_masks(i))
-    return faces
-
-
 def is_collapsible(
     K: SimplicialComplex,
 ) -> tuple[bool, list[tuple[frozenset[str], frozenset[str]]] | None]:
@@ -238,7 +211,7 @@ def is_collapsible(
         )
     if not K.facet_masks:
         raise PreconditionError("collapsibility of the empty complex is undefined")
-    faces = _all_faces(K)
+    faces = [m for i in range(K.dim + 1) for m in K.faces_masks(i)]
     index = {m: i for i, m in enumerate(faces)}
     nfaces = len(faces)
     supers_bits = [0] * nfaces

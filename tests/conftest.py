@@ -69,11 +69,12 @@ def rp2():
 
 
 @pytest.fixture(scope="session")
-def kernel_pool():
-    """Named complexes on which the mask-level link kernel is checked against
-    plain frozenset references: 20 seeded random 3-spheres and their
-    neighbourly reductions, the named 3-manifolds, two non-manifolds and a
-    non-pure complex."""
+def kernel_pool(rp2, two_sphere_census):
+    """Named complexes on which the mask-level link kernel and the one-pass
+    move detector are checked against plain frozenset references: 20 seeded
+    random 3-spheres and their neighbourly reductions, a 16-vertex one, the
+    named 3-manifolds, three 2-manifolds, two non-manifolds and a non-pure
+    complex."""
     from walkup.bistellar import neighbourly_reduction, random_three_sphere
 
     pool = []
@@ -96,4 +97,10 @@ def kernel_pool():
         [[1, 2, 3, 4], [1, 2, 3, 5], [2, 4, 5], [5, 6, 7], [5, 6, 8], [5, 6, 9], [1, 9], [10]]
         + [[11, 12, 1, 2], [11, 12, 2, 3], [11, 12, 3, 4]]
     )))
+    # the vertex cap
+    pool.append(("random16:3", random_three_sphere(3, vertices=16)))
+    # dimension 2: the 7-vertex torus, RP^2 and an 8-vertex 2-sphere, where
+    # i = d = 2 removes a vertex of degree 3
+    sphere8 = next(K for K in two_sphere_census if K.vertex_count == 8)
+    pool += [("k27", k27), ("rp2", rp2), ("sphere8", sphere8)]
     return pool

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,3 +189,35 @@ def test_sparse_smith_core_carries_torsion(k39, rp2):
         assert _sparse_smith(_sparse_rows(boundary_matrix(K, i))) == (factors, rank)
     assert homology_of(k39).torsion == ((), (), (2,), ())
     assert homology_of(rp2).torsion == ((), (2,), ())
+
+
+# Entries of this matrix grow to millions of bits under remainder-swap
+# elimination; its factors are seven 1s and 23650.
+GROWTH_MATRIX = [
+    [2, -3, -3, 2, -3, 0, 0, 1], [2, 0, -3, -2, 0, -1, 3, -2],
+    [0, 2, 3, 0, -3, 0, -2, 3], [0, 0, -2, -3, 2, 2, 0, 0],
+    [1, 2, 0, 3, 0, 2, -1, -2], [0, -3, 0, 2, 0, -3, -1, -2],
+    [2, -3, 3, 0, 1, 0, 1, -1], [-3, 2, 3, -2, 2, -2, 1, 2],
+]
+
+
+def test_snf_stays_small_on_a_growth_matrix():
+    start = time.perf_counter()
+    assert smith_normal_form(GROWTH_MATRIX) == ([1] * 7 + [23650], 8)
+    assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def _square_ish_matrices(draw):
+    rows, cols = draw(st.integers(6, 8)), draw(st.integers(6, 8))
+    return [draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+@given(_square_ish_matrices())
+def test_snf_matches_sympy(mat):
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    diagonal = sympy_snf(Matrix(mat), domain=ZZ)
+    factors = sorted(abs(diagonal[i, i]) for i in range(min(diagonal.shape)) if diagonal[i, i])
+    assert smith_normal_form(mat) == (factors, len(factors))

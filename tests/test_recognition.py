@@ -202,7 +202,8 @@ def _ref_non_neighbourly(K):
 
 
 def test_three_manifold_recognition_matches_a_reference(kernel_pool):
-    for name, K in kernel_pool:
+    pool = [(name, K) for name, K in kernel_pool if K.dim == 3]
+    for name, K in pool:
         singular = _ref_singular(K)
         assert recognition.is_combinatorial_3_manifold(K) == (not singular), name
         report = recognition.recognition_report(K)
@@ -216,7 +217,7 @@ def test_three_manifold_recognition_matches_a_reference(kernel_pool):
         assert report.is_neighbourly == recognition.is_neighbourly(K) == (
             _ref_non_neighbourly(K) is None
         ), name
-    names = {name for name, K in kernel_pool if _ref_singular(K)}
+    names = {name for name, K in pool if _ref_singular(K)}
     assert names == {"k27+suspension", "k27*S0", "non-pure"}
 
 
