@@ -381,7 +381,7 @@ def build_parser() -> _Parser:
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--out", help="stream canonical facet lists to a file")
     e = esub.add_parser("neighbourly9", parents=[common], help="neighbourly 9-vertex 3-manifolds")
-    e.add_argument("--full", action="store_true", help="full 9-vertex census (about a minute)")
+    e.add_argument("--full", action="store_true", help="full 9-vertex census, every vertex degree")
     e.add_argument("--out", help="stream canonical facet lists to a file")
 
     return parser

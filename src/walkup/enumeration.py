@@ -7,10 +7,12 @@ completed pool has every ridge in zero or two facets; canonical-form rejection
 then decides what was found.
 
 The 3-manifold censuses are anchored on a vertex star rather than a single
-facet: vertex 0's link is pinned to one of the canonically labelled 2-sphere
-census members, which fixes 12 of the facets and leaves a small, heavily
-constrained completion search.  Every manifold is reconstructed this way from
-each of its vertices, and duplicates fall to the canonical-form filter.
+facet: vertex 0's link is pinned to one of the canonically labelled m-vertex
+2-sphere census members, fixing 2m - 4 facets.  A vertex whose star closes
+with fewer facets is rejected; a closed star is final, and a k-vertex 2-sphere
+has 2k - 4 triangles, so vertex 0 has least degree.  Every manifold is thus
+reconstructed from each of its least-degree vertices, and duplicates fall to
+the canonical-form filter.
 
 Cheap necessary conditions prune the tree: per-face facet counts respect the
 bounds a manifold link allows, and whenever a face's star closes ("seals"),
@@ -24,9 +26,11 @@ facets.  In d = 2 every vertex link passed the cycle check, so a completion is
 a closed surface; with n vertices and at most 2n - 4 facets its Euler
 characteristic n - f/2 is at least 2, so it is a 2-sphere.  In d = 3 every
 edge link passed the cycle check, so every vertex link is a closed surface,
-and the vertex check made it connected with chi = 2: a 2-sphere.  A 9-vertex
-completion with 27 facets has f1 = 36, so it is neighbourly.  The tests and
-the benchmark re-verify every census member independently.
+and the vertex check made it connected with chi = 2: a 2-sphere.  With an
+8-vertex pinned link every vertex seals with at least 12 facets, the vertex
+cap, so all have degree 8 and the completion is neighbourly: the neighbourly
+census is the full census's 8-vertex tasks.  The tests and the benchmark
+re-verify every census member independently.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .isomorphism import canonical_form, canonical_relabel
 from .recognition import _connected
 
 MAX_N = 9
+_STAT_KEYS = ("nodes", "completions", "isomorph_rejections", "degree_prunes")
 
 
 @dataclass
@@ -86,12 +91,15 @@ class _ClosureSearch:
     the facets, the ridges in at least one facet, and the open ridges, which
     lie in exactly one.  Facet counts at a vertex or pair, seal status and
     ridge counts are popcounts of ANDs with the "faces through" sets.
+    `min_seal` is the least facet count a vertex may have when its star
+    closes; `degree_prunes` counts the additions it rejected.
     """
 
-    def __init__(self, d: int, max_vertices: int, max_facets: int):
+    def __init__(self, d: int, max_vertices: int, max_facets: int, min_seal: int = 0):
         self.d = d
         self.max_vertices = max_vertices
         self.max_facets = max_facets
+        self.min_seal = min_seal
         self.table = _facet_table(d)
         self.facets = 0
         self.present = 0
@@ -105,9 +113,15 @@ class _ClosureSearch:
         self.pair_cap = 7
         self.nodes = 0
         self.completions = 0
+        self.degree_prunes = 0
 
-    def facet_masks(self) -> list[int]:
-        return list(_iter_bits(self.facets))
+    def to_complex(self) -> SimplicialComplex:
+        """The pool as a complex on vertices 0..used-1, labelled 1..used: fresh
+        vertices enter in first-use order, so they are dense, and facets of
+        one size already form an antichain."""
+        return SimplicialComplex(
+            tuple(_iter_bits(self.facets)), tuple(str(i + 1) for i in range(self.used))
+        )
 
     # -- mutation ---------------------------------------------------------
 
@@ -137,10 +151,13 @@ class _ClosureSearch:
         facets |= 1 << fmask
         open_ ^= ridges
         for b, through in at_vertices:
-            if not open_ & through and not self._vertex_link_ok(
-                b, facets & through, (present & through).bit_count()
-            ):
-                return False
+            if not open_ & through:
+                mine = facets & through
+                if mine.bit_count() < self.min_seal:
+                    self.degree_prunes += 1
+                    return False
+                if not self._vertex_link_ok(b, mine, (present & through).bit_count()):
+                    return False
         for p, through in at_pairs:
             if not open_ & through and not self._pair_link_is_cycle(p, facets & through):
                 return False
@@ -203,20 +220,6 @@ class _ClosureSearch:
                 self.undo()
 
 
-def _labels_for(n: int) -> dict[int, str]:
-    return {i: str(i + 1) for i in range(n)}
-
-
-def _complex_from_masks(masks: list[int]) -> SimplicialComplex:
-    used = 0
-    for m in masks:
-        used |= m
-    names = _labels_for(used.bit_count())
-    return SimplicialComplex._from_masks(
-        list(masks), tuple(names[i] for i in range(len(names)))
-    )
-
-
 # -- 2-sphere census ------------------------------------------------------------
 
 
@@ -233,7 +236,7 @@ def enumerate_two_spheres(n: int) -> CensusResult:
         nonlocal rejected
         if s.used != n:
             return
-        K = _complex_from_masks(s.facet_masks())
+        K = s.to_complex()
         digest = canonical_form(K).bytes
         if digest in found:
             rejected += 1
@@ -259,14 +262,14 @@ def _sphere_seeds(n: int) -> tuple[SimplicialComplex, ...]:
 
 def _star_completions(
     link: SimplicialComplex,
-    require_neighbourly: bool,
     found: dict[bytes, SimplicialComplex],
     stats: dict[str, int],
     label_map: dict[int, int] | None = None,
 ) -> None:
-    """Complete vertex 0's pinned star to closed 9-vertex 3-manifolds."""
+    """Complete vertex 0's pinned star to closed 9-vertex 3-manifolds in which
+    vertex 0 has least degree."""
     m = link.vertex_count
-    search = _ClosureSearch(d=3, max_vertices=MAX_N, max_facets=27)
+    search = _ClosureSearch(d=3, max_vertices=MAX_N, max_facets=27, min_seal=2 * m - 4)
     mapping = label_map or {i: i for i in range(m)}
     for fm in link.facet_masks:
         star_facet = 1  # vertex 0
@@ -278,9 +281,7 @@ def _star_completions(
     def on_complete(s: _ClosureSearch) -> None:
         if s.used != MAX_N:
             return
-        if require_neighbourly and s.facets.bit_count() != 27:
-            return
-        K = _complex_from_masks(s.facet_masks())
+        K = s.to_complex()
         digest = canonical_form(K).bytes
         if digest in found:
             stats["isomorph_rejections"] += 1
@@ -290,6 +291,7 @@ def _star_completions(
     search.run(on_complete)
     stats["nodes"] += search.nodes
     stats["completions"] += search.completions
+    stats["degree_prunes"] += search.degree_prunes
 
 
 def _classify(found: dict[bytes, SimplicialComplex]) -> tuple[list[SimplicialComplex], dict[str, int]]:
@@ -305,25 +307,25 @@ def _classify(found: dict[bytes, SimplicialComplex]) -> tuple[list[SimplicialCom
     return ordered, counts
 
 
-def _census_task(task: tuple[str, bool, tuple[int, ...] | None]):
+def _census_task(task: tuple[str, tuple[int, ...] | None]):
     """One pinned-link completion search; safe to run in a worker process."""
     from . import core
 
-    link_text, require_neighbourly, perm = task
+    link_text, perm = task
     link = core.from_text(link_text)
     mapping = dict(enumerate(perm)) if perm is not None else None
     found: dict[bytes, SimplicialComplex] = {}
-    stats = {"nodes": 0, "completions": 0, "isomorph_rejections": 0}
-    _star_completions(link, require_neighbourly, found, stats, mapping)
+    stats = dict.fromkeys(_STAT_KEYS, 0)
+    _star_completions(link, found, stats, mapping)
     payload = [(digest, K.facet_masks, K.labels) for digest, K in sorted(found.items())]
     return payload, stats
 
 
 def _run_census(
-    tasks: list[tuple[str, bool, tuple[int, ...] | None]], threads: int
+    tasks: list[tuple[str, tuple[int, ...] | None]], threads: int
 ) -> tuple[dict[bytes, SimplicialComplex], dict[str, int]]:
     found: dict[bytes, SimplicialComplex] = {}
-    stats = {"nodes": 0, "completions": 0, "isomorph_rejections": 0}
+    stats = dict.fromkeys(_STAT_KEYS, 0)
     if threads > 1:
         from multiprocessing import Pool
 
@@ -368,28 +370,22 @@ def enumerate_neighbourly_9_manifolds(
             shuffled = list(range(8))
             rng.shuffle(shuffled)
             perm = tuple(shuffled)
-        tasks.append((to_text(link), True, perm))
+        tasks.append((to_text(link), perm))
     found, stats = _run_census(tasks, threads)
     ordered, counts = _classify(found)
     return CensusResult(ordered, counts, stats)
 
 
 def enumerate_all_9_manifolds(confirm: bool = False, threads: int = 1) -> CensusResult:
-    """The full census of 9-vertex combinatorial 3-manifolds (under a minute
-    on one thread).
-
-    Gated behind an explicit flag so the default suites never run it.
+    """The full census of 9-vertex combinatorial 3-manifolds: one pinned-link
+    search per 2-sphere on 4..8 vertices (about 15 s on one thread of a 2-core
+    machine).  Gated behind an explicit flag, as the costliest census.
     """
     if not confirm:
-        raise PreconditionError(
-            "the full 9-vertex census takes about a minute; pass confirm=True to run it"
-        )
+        raise PreconditionError("the full 9-vertex census runs only with confirm=True")
     from .core import to_text
 
-    tasks = []
-    for n in range(4, 9):
-        for link in _sphere_seeds(n):
-            tasks.append((to_text(link), False, None))
+    tasks = [(to_text(link), None) for n in range(4, 9) for link in _sphere_seeds(n)]
     found, stats = _run_census(tasks, threads)
     ordered, counts = _classify(found)
     return CensusResult(ordered, counts, stats)

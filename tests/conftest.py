@@ -42,6 +42,15 @@ def neighbourly_census():
 
 
 @pytest.fixture(scope="session")
+def full_census():
+    """One run of the full 9-vertex census, shared by the tests that only
+    read its result."""
+    from walkup.enumeration import enumerate_all_9_manifolds
+
+    return enumerate_all_9_manifolds(confirm=True)
+
+
+@pytest.fixture(scope="session")
 def two_sphere_census():
     """The 2-sphere census for n = 4..8, as one list in census order."""
     from walkup.enumeration import enumerate_two_spheres

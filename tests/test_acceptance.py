@@ -12,7 +12,6 @@ verbatim and so still exits 2, naming the duplicate pair.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from contextlib import contextmanager
@@ -248,14 +247,11 @@ def test_criterion_13_unique_non_sphere(k39):
         assert canonical_form(non_sphere).bytes == canonical_form(k39).bytes
 
 
+@pytest.mark.slow
 @pytest.mark.full_census
-@pytest.mark.skipif(
-    not os.environ.get("WALKUP_FULL_CENSUS"),
-    reason="full census (about a minute); set WALKUP_FULL_CENSUS=1 to run",
-)
-def test_criterion_14_full_census(k39):
+def test_criterion_14_full_census(k39, full_census):
     with criterion(14, 12 * 3600.0, "full census: 1297 manifolds, one non-sphere"):
-        result = enumeration.enumerate_all_9_manifolds(confirm=True)
+        result = full_census
         assert result.counts["total"] == 1297
         assert result.counts["non_sphere"] == 1
         non_sphere = next(

@@ -293,11 +293,12 @@ def test_parametric_names():
 @pytest.mark.slow
 def test_enumerate_neighbourly_cli(tmp_path):
     out = tmp_path / "neighbourly.facets"
-    outcome = run(["enumerate", "neighbourly9", "--out", str(out)])
-    assert outcome.exit_code == 0
+    outcome = run(["enumerate", "neighbourly9", "--out", str(out), "--json"])
+    assert outcome.exit_code == 0 and outcome.json_requested
     assert outcome.report["data"]["counts"] == {
         "total": 51, "sphere": 50, "non_sphere": 1,
     }
+    assert "degree_prunes" in outcome.report["data"]["stats"]
     blocks = [b for b in out.read_text().split("\n\n") if b.strip()]
     assert len(blocks) == 51
 

@@ -5,6 +5,7 @@ import pytest
 from walkup import homology, lemmas, recognition
 from walkup.core import PreconditionError, SimplicialComplex, from_facets
 from walkup.enumeration import (
+    _ClosureSearch,
     enumerate_neighbourly_9_manifolds,
     enumerate_all_9_manifolds,
     enumerate_two_spheres,
@@ -127,19 +128,37 @@ def test_census_two_spheres_alpha_formula():
             assert lemmas.alpha(K) == lemmas.alpha_formula(n)
 
 
+def test_closure_search_rejects_a_seal_below_min_seal():
+    """The boundary of the 4-simplex on vertices 0..4: its fourth facet through
+    vertex 0 closes vertex 0's star with four facets.  With min_seal = 5 that
+    facet is refused and the state is left as it was; with 4 it is accepted."""
+    facets = (0b01111, 0b10111, 0b11011, 0b11101, 0b11110)
+    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27, min_seal=5)
+    for f in facets[:3]:
+        assert search.try_add(f)
+    before = (search.facets, search.present, search.open, search.used)
+    assert not search.try_add(facets[3])
+    assert (search.facets, search.present, search.open, search.used) == before
+    assert search.degree_prunes == 1
+
+    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27, min_seal=4)
+    assert all(search.try_add(f) for f in facets)
+    assert search.open == 0 and search.degree_prunes == 0
+
+
 def test_full_census_requires_opt_in():
     with pytest.raises(PreconditionError):
         enumerate_all_9_manifolds()
 
 
+@pytest.mark.slow
 @pytest.mark.full_census
-@pytest.mark.skipif(
-    not __import__("os").environ.get("WALKUP_FULL_CENSUS"),
-    reason="full census (about a minute); set WALKUP_FULL_CENSUS=1 to run",
-)
-def test_full_census_restricts_to_neighbourly_census(neighbourly_census):
-    full = enumerate_all_9_manifolds(confirm=True)
-    assert full.stats == {"nodes": 452257, "completions": 47376, "isomorph_rejections": 45260}
+def test_full_census_restricts_to_neighbourly_census(full_census, neighbourly_census):
+    full = full_census
+    assert full.stats == {
+        "nodes": 316979, "completions": 18082, "isomorph_rejections": 16453,
+        "degree_prunes": 23158,
+    }
     for K in full.complexes:
         assert recognition.is_combinatorial_3_manifold(K)
     neighbourly = {
@@ -151,20 +170,24 @@ def test_full_census_restricts_to_neighbourly_census(neighbourly_census):
     assert neighbourly == direct
 
     # the mass formula extends to the full census: every class is found once
-    # per labelled copy with some vertex's link pinned to a canonical seed
+    # per labelled copy with the link of a least-degree vertex pinned to a
+    # canonical seed
     from fractions import Fraction
 
     from walkup.isomorphism import automorphism_group
 
     observed = full.counts["total"] + full.stats["isomorph_rejections"]
-    predicted = sum(
-        Fraction(
-            sum(automorphism_group(K.link([v])).order for v in K.labels),
+    predicted = Fraction(0)
+    for K in full.complexes:
+        links = [K.link([v]) for v in K.labels]
+        least = min(L.vertex_count for L in links)
+        term = Fraction(
+            sum(automorphism_group(L).order for L in links if L.vertex_count == least),
             automorphism_group(K).order,
         )
-        for K in full.complexes
-    )
-    assert predicted == observed
+        assert term.denominator == 1
+        predicted += term
+    assert predicted == observed == 17750
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -211,7 +234,9 @@ def test_neighbourly_census_mass_formula(neighbourly_census):
 def test_neighbourly_census(k39, neighbourly_census):
     result = neighbourly_census
     assert result.counts == {"total": 51, "sphere": 50, "non_sphere": 1}
-    assert result.stats == {"nodes": 171859, "completions": 11981, "isomorph_rejections": 588}
+    assert result.stats == {
+        "nodes": 103687, "completions": 639, "isomorph_rejections": 588, "degree_prunes": 12038,
+    }
     non_spheres = [
         K
         for K in result.complexes
@@ -229,7 +254,7 @@ def test_neighbourly_census(k39, neighbourly_census):
 def test_neighbourly_census_base_order_invariance(neighbourly_census):
     base = neighbourly_census
     shuffled = enumerate_neighbourly_9_manifolds(label_seed=12345)
-    assert shuffled.stats["nodes"] == 98909
+    assert shuffled.stats["nodes"] == 39208
     assert base.counts == shuffled.counts
     assert [K.facet_masks for K in base.complexes] == [
         K.facet_masks for K in shuffled.complexes
