@@ -1,10 +1,24 @@
 """Exhaustive censuses of small spheres and 9-vertex combinatorial 3-manifolds.
 
-Both censuses run the same forced-closure search: keep a pool of facets, find
-the lexicographically least ridge lying in exactly one facet, and try every
-vertex that can close it, introducing fresh vertices in first-use order.  A
-completed pool has every ridge in zero or two facets; canonical-form rejection
-then decides what was found.
+Both censuses run the same forced-closure search: keep a pool of facets, pick
+a ridge lying in exactly one facet (an open ridge), and try every vertex that
+can close it, introducing fresh vertices in first-use order.  A completed pool
+has every ridge in zero or two facets; canonical-form rejection then decides
+what was found.
+
+The search branches on the open ridge with the fewest candidate vertices, the
+least ridge mask on ties, and stops scanning at a count of 0 or 1: the
+most-constrained-first rule of Knuth's "Dancing links" (2000).  The counts
+come from the closed-neighbour word (see `_ridge_table`), with d shifts and
+one popcount per open ridge.  The rule shapes the tree, not what it finds.
+Every sub-pool of a completion passes every check below: the caps are
+monotone, and a star that seals inside a completion's star is already all of
+it, since a closed surface (or cycle) inside a 2-sphere link (or cycle) is
+the whole link.  The chosen ridge lies in exactly one more facet of the
+completion, so one child leads on, and a fresh vertex it brings takes the
+next free label.  Any rule that looks only at the pool therefore reaches each
+completion once, with its fresh vertices in first-use order: completions,
+isomorph rejections and representatives do not depend on it.
 
 The 3-manifold censuses are anchored on a vertex star rather than a single
 facet: vertex 0's link is pinned to one of the canonically labelled m-vertex
@@ -84,12 +98,33 @@ def _facet_table(d: int) -> dict[int, tuple[int, int, tuple, tuple]]:
     return table
 
 
+@lru_cache(maxsize=None)
+def _ridge_table(d: int) -> tuple[list, list]:
+    """For each ridge mask r (a d-subset of the 9 vertices): the offsets of the
+    fields of the (d-1)-faces r - {x} in the closed-neighbour word, and the
+    word with bit x of each such field set, which r ORs in when it closes.
+
+    The word packs one MAX_N-bit field per (d-1)-face e, in increasing order
+    of e; bit v of e's field is set when the ridge e + {v} is closed.
+    """
+    bases = [m for m in range(1 << MAX_N) if m.bit_count() == d - 1]
+    offset = {e: i * MAX_N for i, e in enumerate(bases)}
+    shifts: list = [()] * (1 << MAX_N)
+    closes = [0] * (1 << MAX_N)
+    for r in range(1 << MAX_N):
+        if r.bit_count() == d:
+            shifts[r] = tuple(offset[r ^ (1 << x)] for x in _iter_bits(r))
+            closes[r] = sum(1 << (s + x) for s, x in zip(shifts[r], _iter_bits(r)))
+    return shifts, closes
+
+
 class _ClosureSearch:
     """Depth-first forced closure over at most 9 vertices.
 
-    The state is three face sets (see `_facet_table`) and the vertex count:
-    the facets, the ridges in at least one facet, and the open ridges, which
-    lie in exactly one.  Facet counts at a vertex or pair, seal status and
+    The state is three face sets (see `_facet_table`): the facets, the ridges
+    in at least one facet, and the open ridges, which lie in exactly one;
+    the closed-neighbour word `cn` of the closed ridges (see `_ridge_table`);
+    and the vertex count.  Facet counts at a vertex or pair, seal status and
     ridge counts are popcounts of ANDs with the "faces through" sets.
     `min_seal` is the least facet count a vertex may have when its star
     closes; `degree_prunes` counts the additions it rejected.
@@ -101,11 +136,13 @@ class _ClosureSearch:
         self.max_facets = max_facets
         self.min_seal = min_seal
         self.table = _facet_table(d)
+        self.shifts, self.closes = _ridge_table(d)
         self.facets = 0
         self.present = 0
         self.open = 0
+        self.cn = 0
         self.used = 0
-        self._saved: list[tuple[int, int, int, int]] = []
+        self._saved: list[tuple[int, int, int, int, int]] = []
         # bounds a manifold vertex or edge link allows on <= 9 vertices: facets
         # at a vertex, ridges at a vertex (edges of its link) and facets at a pair
         self.vertex_cap = 12 if d == 3 else max_vertices - 1
@@ -159,15 +196,21 @@ class _ClosureSearch:
                 if not self._vertex_link_ok(b, mine, (present & through).bit_count()):
                     return False
         for p, through in at_pairs:
-            if not open_ & through and not self._pair_link_is_cycle(p, facets & through):
+            if not open_ & through and not self._link_is_cycle(p, facets & through):
                 return False
-        self._saved.append((self.facets, self.present, self.open, self.used))
-        self.facets, self.present, self.open = facets, present, open_
+        cn = self.cn
+        closing = ridges & self.open
+        while closing:
+            low = closing & -closing
+            cn |= self.closes[low.bit_length() - 1]
+            closing ^= low
+        self._saved.append((self.facets, self.present, self.open, self.cn, self.used))
+        self.facets, self.present, self.open, self.cn = facets, present, open_, cn
         self.used = max(self.used, top + 1)
         return True
 
     def undo(self) -> None:
-        self.facets, self.present, self.open, self.used = self._saved.pop()
+        self.facets, self.present, self.open, self.cn, self.used = self._saved.pop()
 
     # -- seal validation ---------------------------------------------------
 
@@ -175,25 +218,26 @@ class _ClosureSearch:
         """Once no ridge at vertex b is open, its link (`facets` at b, with
         `ridges` edges) must be a single cycle (d=2) or a connected chi=2
         surface (d=3)."""
+        if self.d == 2:
+            return self._link_is_cycle(1 << b, facets)
         link = [f ^ (1 << b) for f in _iter_bits(facets)]
         vertices = 0
         for e in link:
             vertices |= e
-        m = vertices.bit_count()
-        if self.d == 2:
-            if m != len(link):
-                return False
-        elif m - ridges + len(link) != 2:
-            return False
-        return _connected(link)
+        return vertices.bit_count() - ridges + len(link) == 2 and _connected(link)
 
     @staticmethod
-    def _pair_link_is_cycle(p: int, facets: int) -> bool:
-        edges = [f & ~p for f in _iter_bits(facets)]
-        vertices = 0
-        for e in edges:
-            vertices |= e
-        return vertices.bit_count() == len(edges) and _connected(edges)
+    def _link_is_cycle(face: int, facets: int) -> bool:
+        """Whether the sealed link of `face` (a pair when d = 3, a vertex when
+        d = 2), the graph of edges f - face over its `facets`, is one cycle.
+
+        Every vertex v of that graph has degree 2, as the ridge face + {v} is
+        closed, so the graph is a union of cycles of length at least 3; with
+        fewer than 6 edges it is one cycle, and otherwise the walk decides.
+        """
+        if facets.bit_count() < 6:
+            return True
+        return _connected([f & ~face for f in _iter_bits(facets)])
 
     # -- search ------------------------------------------------------------
 
@@ -206,18 +250,44 @@ class _ClosureSearch:
         facets = self.facets
         if facets.bit_count() >= self.max_facets:
             return
-        ridge = (self.open & -self.open).bit_length() - 1
-        closed = self.present & ~self.open  # ridges already in two facets
-        table = self.table
-        for v in range(min(self.used + 1, self.max_vertices)):
-            if ridge >> v & 1:
-                continue
-            fmask = ridge | (1 << v)
-            if facets >> fmask & 1 or table[fmask][1] & closed:
-                continue
+        ridge, candidates = self._choose()
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            fmask = ridge | low
+            if facets >> fmask & 1:
+                continue  # the one facet already holding the ridge
             if self.try_add(fmask):
                 self.run(on_complete)
                 self.undo()
+
+    def _choose(self) -> tuple[int, int]:
+        """The open ridge r to branch on and its candidates as a vertex mask.
+
+        The candidates are the allowed vertices v outside r with no ridge
+        r - {x} + {v} closed: bit v of the field of r - {x} in `cn`.  They are
+        the vertices that can close r, plus the vertex of the facet holding r
+        unless another ridge of that facet is closed.  The ridge has the
+        fewest candidates, the least mask on ties; the scan stops at 0 or 1.
+        """
+        cn, shifts = self.cn, self.shifts
+        allowed = (1 << min(self.used + 1, self.max_vertices)) - 1
+        best, fewest, choice = 0, MAX_N + 1, 0
+        rest = self.open
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ridge = low.bit_length() - 1
+            blocked = ridge
+            for s in shifts[ridge]:
+                blocked |= cn >> s
+            candidates = allowed & ~blocked
+            count = candidates.bit_count()
+            if count < fewest:
+                best, fewest, choice = ridge, count, candidates
+                if count <= 1:
+                    break
+        return best, choice
 
 
 # -- 2-sphere census ------------------------------------------------------------
@@ -378,7 +448,7 @@ def enumerate_neighbourly_9_manifolds(
 
 def enumerate_all_9_manifolds(confirm: bool = False, threads: int = 1) -> CensusResult:
     """The full census of 9-vertex combinatorial 3-manifolds: one pinned-link
-    search per 2-sphere on 4..8 vertices (about 15 s on one thread of a 2-core
+    search per 2-sphere on 4..8 vertices (about 13 s on one thread of a 2-core
     machine).  Gated behind an explicit flag, as the costliest census.
     """
     if not confirm:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from walkup import homology, lemmas, recognition
-from walkup.core import PreconditionError, SimplicialComplex, from_facets
+from walkup.core import PreconditionError, SimplicialComplex, _iter_bits, from_facets
 from walkup.enumeration import (
     _ClosureSearch,
     enumerate_neighbourly_9_manifolds,
@@ -15,7 +15,7 @@ from walkup.isomorphism import canonical_form
 KNOWN_SPHERE_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14}
 # (nodes, completions, isomorph rejections): the closure search visits exactly
 # this tree; a search that prunes differently must re-derive it on purpose
-KNOWN_SEARCH_TREES = {4: (4, 1, 0), 5: (14, 4, 2), 6: (61, 17, 11), 7: (397, 86, 63), 8: (4330, 518, 385)}
+KNOWN_SEARCH_TREES = {4: (4, 1, 0), 5: (13, 4, 2), 6: (54, 17, 11), 7: (329, 86, 63), 8: (3050, 518, 385)}
 
 
 def _vertex_splits(K: SimplicialComplex):
@@ -136,14 +136,125 @@ def test_closure_search_rejects_a_seal_below_min_seal():
     search = _ClosureSearch(d=3, max_vertices=9, max_facets=27, min_seal=5)
     for f in facets[:3]:
         assert search.try_add(f)
-    before = (search.facets, search.present, search.open, search.used)
+    before = (search.facets, search.present, search.open, search.cn, search.used)
     assert not search.try_add(facets[3])
-    assert (search.facets, search.present, search.open, search.used) == before
+    assert (search.facets, search.present, search.open, search.cn, search.used) == before
     assert search.degree_prunes == 1
 
     search = _ClosureSearch(d=3, max_vertices=9, max_facets=27, min_seal=4)
     assert all(search.try_add(f) for f in facets)
     assert search.open == 0 and search.degree_prunes == 0
+
+
+def test_closure_search_refuses_a_pair_link_of_two_triangles():
+    """The facets 01ab for the edges ab of two triangles on 234 and 567, the
+    path 5-6-7 first, so that the pair {0, 1} stays open until the last one:
+    that one would seal it with a disconnected link, so it is refused and the
+    state is left as it was.  The same pair sealed with a hexagon is accepted."""
+
+    def star(edges):
+        return [0b11 | 1 << a | 1 << b for a, b in edges]
+
+    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27)
+    two_triangles = star([(5, 6), (6, 7), (2, 3), (3, 4), (2, 4), (5, 7)])
+    for f in two_triangles[:5]:
+        assert search.try_add(f)
+    before = (search.facets, search.present, search.open, search.cn, search.used)
+    assert not search.try_add(two_triangles[5])
+    assert (search.facets, search.present, search.open, search.cn, search.used) == before
+
+    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27)
+    assert all(search.try_add(f) for f in star([(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 2)]))
+    assert all(r & 0b11 != 0b11 for r in _iter_bits(search.open))
+
+
+def _closed_word(search: _ClosureSearch) -> int:
+    """The closed-neighbour word rebuilt from the closed ridges alone: one
+    9-bit field per (d-1)-face in increasing mask order, with bit v of the
+    field of e set when e + {v} is a closed ridge."""
+    bases = [m for m in range(1 << 9) if m.bit_count() == search.d - 1]
+    word = 0
+    for ridge in _iter_bits(search.present & ~search.open):
+        for x in _iter_bits(ridge):
+            word |= 1 << (9 * bases.index(ridge ^ (1 << x)) + x)
+    return word
+
+
+def _filter_keeps(search: _ClosureSearch, ridge: int) -> int:
+    """The vertices the per-vertex filter keeps for an open ridge: allowed,
+    outside it, not making a present facet, and closing no closed ridge."""
+    closed = search.present & ~search.open
+    kept = 0
+    for v in range(min(search.used + 1, search.max_vertices)):
+        fmask = ridge | 1 << v
+        if ridge >> v & 1 or search.facets >> fmask & 1 or search.table[fmask][1] & closed:
+            continue
+        kept |= 1 << v
+    return kept
+
+
+def _check_state(search: _ClosureSearch) -> None:
+    """`cn` matches its rebuild; each open ridge's candidate mask is what the
+    per-vertex filter keeps, plus possibly the vertex of the facet holding the
+    ridge; and `_choose` takes the first ridge with at most one candidate, or
+    else the least ridge with fewest."""
+    assert search.cn == _closed_word(search)
+    allowed = (1 << min(search.used + 1, search.max_vertices)) - 1
+    masks = {}
+    for ridge in _iter_bits(search.open):
+        blocked = ridge
+        for s in search.shifts[ridge]:
+            blocked |= search.cn >> s
+        mask = allowed & ~blocked
+        (holder,) = [v for v in range(9) if search.facets >> (ridge | 1 << v) & 1]
+        assert mask & ~(1 << holder) == _filter_keeps(search, ridge)
+        masks[ridge] = mask
+    if masks:
+        at_most_one = [r for r in sorted(masks) if masks[r].bit_count() <= 1]
+        expected = at_most_one[0] if at_most_one else min(masks, key=lambda r: (masks[r].bit_count(), r))
+        assert search._choose() == (expected, masks[expected])
+
+
+def _seeded_walk(search: _ClosureSearch, seed: int, steps: int) -> tuple[int, int, int]:
+    """Random try_add/undo steps above the initial pool, checking the state
+    after every one; returns the counts of accepted, refused and undone adds."""
+    import random
+
+    rng = random.Random(seed)
+    depth = accepted = refused = undone = 0
+    _check_state(search)
+    for _ in range(steps):
+        full = search.facets.bit_count() >= search.max_facets
+        kept = {r: _filter_keeps(search, r) for r in _iter_bits(search.open)} if not full else {}
+        choices = [(r, v) for r, k in kept.items() for v in _iter_bits(k)]
+        if depth and (not choices or rng.random() < 0.3):
+            search.undo()
+            depth -= 1
+            undone += 1
+        elif choices:
+            ridge, v = rng.choice(choices)
+            if search.try_add(ridge | 1 << v):
+                depth += 1
+                accepted += 1
+            else:
+                refused += 1
+        _check_state(search)
+    return accepted, refused, undone
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_closed_neighbour_word_follows_try_add_and_undo(seed):
+    link = enumerate_two_spheres(8).complexes[seed * 7]
+    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27, min_seal=12)
+    for fm in link.facet_masks:
+        assert search.try_add(1 | fm << 1)
+    accepted, refused, undone = _seeded_walk(search, seed, 300)
+    assert accepted > 30 and refused > 5 and undone > 30
+
+    search = _ClosureSearch(d=2, max_vertices=8, max_facets=12)
+    assert search.try_add(0b111)
+    accepted, refused, undone = _seeded_walk(search, seed, 300)
+    assert accepted > 30 and undone > 30
 
 
 def test_full_census_requires_opt_in():
@@ -156,8 +267,8 @@ def test_full_census_requires_opt_in():
 def test_full_census_restricts_to_neighbourly_census(full_census, neighbourly_census):
     full = full_census
     assert full.stats == {
-        "nodes": 316979, "completions": 18082, "isomorph_rejections": 16453,
-        "degree_prunes": 23158,
+        "nodes": 171780, "completions": 18082, "isomorph_rejections": 16453,
+        "degree_prunes": 15552,
     }
     for K in full.complexes:
         assert recognition.is_combinatorial_3_manifold(K)
@@ -235,7 +346,7 @@ def test_neighbourly_census(k39, neighbourly_census):
     result = neighbourly_census
     assert result.counts == {"total": 51, "sphere": 50, "non_sphere": 1}
     assert result.stats == {
-        "nodes": 103687, "completions": 639, "isomorph_rejections": 588, "degree_prunes": 12038,
+        "nodes": 31894, "completions": 639, "isomorph_rejections": 588, "degree_prunes": 4741,
     }
     non_spheres = [
         K
@@ -254,7 +365,9 @@ def test_neighbourly_census(k39, neighbourly_census):
 def test_neighbourly_census_base_order_invariance(neighbourly_census):
     base = neighbourly_census
     shuffled = enumerate_neighbourly_9_manifolds(label_seed=12345)
-    assert shuffled.stats["nodes"] == 39208
+    assert shuffled.stats["nodes"] == 19893
+    for key in ("completions", "isomorph_rejections"):
+        assert shuffled.stats[key] == base.stats[key]
     assert base.counts == shuffled.counts
     assert [K.facet_masks for K in base.complexes] == [
         K.facet_masks for K in shuffled.complexes
