@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Iterable
 
 from . import recognition
-from .core import Face, PreconditionError, SimplicialComplex, _bits, _iter_bits, _label_key, from_facets
+from .core import Face, PreconditionError, SimplicialComplex, _bits, _label_key, from_facets
 
 
 class LemmaViolation(RuntimeError):
@@ -126,7 +126,7 @@ def _apply(K: SimplicialComplex, alpha: int, beta: int) -> SimplicialComplex:
     """The move (alpha, beta), valid on K: no re-classification, and the new
     facets already form an antichain.  Only a vertex removal renumbers."""
     masks = [f for f in K.facet_masks if f & alpha != alpha]
-    masks += [beta | (alpha ^ (1 << b)) for b in _iter_bits(alpha)]
+    masks += [beta | (alpha ^ (1 << b)) for b in _bits(alpha)]
     if alpha.bit_count() == 1:
         return SimplicialComplex._from_masks(masks, K.labels)
     masks.sort()
@@ -268,7 +268,7 @@ def random_three_sphere(
         facet = rng.choice(K.facet_masks)
         n = K.vertex_count
         masks = [f for f in K.facet_masks if f != facet]
-        masks += [(facet ^ (1 << b)) | (1 << n) for b in _iter_bits(facet)]
+        masks += [(facet ^ (1 << b)) | (1 << n) for b in _bits(facet)]
         masks.sort()
         K = SimplicialComplex(tuple(masks), K.labels + (str(n + 1),))
     for _ in range(churn):

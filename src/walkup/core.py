@@ -50,7 +50,9 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 @lru_cache(maxsize=None)
 def _bits(mask: int) -> tuple[int, ...]:
-    """The set bits of a mask, ascending."""
+    """The set bits of a vertex mask, ascending.  Vertex masks stay below
+    2**16, so this memo stays bounded; census face-set ints, which do not,
+    go through `_iter_bits`."""
     return tuple(_iter_bits(mask))
 
 
@@ -108,11 +110,11 @@ class SimplicialComplex:
             used |= m
         if used.bit_count() == len(labels):
             return cls(tuple(kept), labels)
-        old_ids = list(_iter_bits(used))
+        old_ids = _bits(used)
         new_labels = tuple(labels[i] for i in old_ids)
         shift = {old: new for new, old in enumerate(old_ids)}
         remapped = sorted(
-            sum(1 << shift[b] for b in _iter_bits(m)) for m in kept
+            sum(1 << shift[b] for b in _bits(m)) for m in kept
         )
         return cls(tuple(remapped), new_labels)
 
@@ -139,7 +141,7 @@ class SimplicialComplex:
         return mask
 
     def face_labels(self, mask: int) -> frozenset[str]:
-        return frozenset(self.labels[b] for b in _iter_bits(mask))
+        return frozenset([self.labels[b] for b in _bits(mask)])
 
     def has_face_mask(self, mask: int) -> bool:
         if self._face_set is None:  # write-once; safe to race
@@ -246,7 +248,7 @@ class SimplicialComplex:
         if len(set(new_names)) != len(new_names):
             raise PreconditionError("relabeling must stay injective")
         return from_facets(
-            [{new_names[b] for b in _iter_bits(fm)} for fm in self.facet_masks]
+            [{new_names[b] for b in _bits(fm)} for fm in self.facet_masks]
         )
 
     def stars(self, size: int) -> tuple[dict[int, int], dict[int, int]]:
@@ -297,12 +299,14 @@ def from_facets(facet_list: Iterable[Face]) -> SimplicialComplex:
     Duplicate facets collapse and faces contained in other input sets are
     dropped.  Labels are normalized to dense ids in canonical label order.
     """
-    raw = [frozenset(_norm_label(lab) for lab in face) for face in facet_list]
+    raw = [frozenset(map(str, face)) for face in facet_list]
     if not raw:
         raise PreconditionError("facet list is empty")
+    labels = tuple(sorted(frozenset().union(*raw), key=_label_key))
+    for lab in labels:
+        _norm_label(lab)  # each distinct label checked once
     if any(not face for face in raw):
         raise PreconditionError("facets must be non-empty vertex sets")
-    labels = tuple(sorted({lab for face in raw for lab in face}, key=_label_key))
     if len(labels) > MAX_VERTICES:
         raise PreconditionError(f"{len(labels)} vertex labels exceed the {MAX_VERTICES} supported")
     index = {lab: i for i, lab in enumerate(labels)}

@@ -54,7 +54,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import homology
-from .core import PreconditionError, SimplicialComplex, _iter_bits
+from .core import PreconditionError, SimplicialComplex, _bits, _iter_bits
 from .isomorphism import canonical_form, canonical_relabel
 from .recognition import _connected
 
@@ -64,6 +64,13 @@ _STAT_KEYS = ("nodes", "completions", "isomorph_rejections", "degree_prunes")
 
 @dataclass
 class CensusResult:
+    """A census: its classes, their counts, and the search's stats.
+
+    `stats["completions"]` counts every pool the search closed, including
+    pools that close on fewer vertices than the census asks for, which are
+    dropped unseen; so it can exceed the classes plus `isomorph_rejections`.
+    """
+
     complexes: list[SimplicialComplex]  # canonical representatives, sorted by encoding
     counts: dict[str, int]
     stats: dict[str, int] = field(default_factory=dict)
@@ -87,7 +94,7 @@ def _facet_table(d: int) -> dict[int, tuple[int, int, tuple, tuple]]:
     table = {}
     for f in faces:
         if f.bit_count() == d + 1:
-            bits = list(_iter_bits(f))
+            bits = _bits(f)
             pairs = [(1 << a) | (1 << b) for a, b in combinations(bits, 2)] if d == 3 else []
             table[f] = (
                 bits[-1],
@@ -113,8 +120,8 @@ def _ridge_table(d: int) -> tuple[list, list]:
     closes = [0] * (1 << MAX_N)
     for r in range(1 << MAX_N):
         if r.bit_count() == d:
-            shifts[r] = tuple(offset[r ^ (1 << x)] for x in _iter_bits(r))
-            closes[r] = sum(1 << (s + x) for s, x in zip(shifts[r], _iter_bits(r)))
+            shifts[r] = tuple(offset[r ^ (1 << x)] for x in _bits(r))
+            closes[r] = sum(1 << (s + x) for s, x in zip(shifts[r], _bits(r)))
     return shifts, closes
 
 
@@ -127,7 +134,9 @@ class _ClosureSearch:
     and the vertex count.  Facet counts at a vertex or pair, seal status and
     ridge counts are popcounts of ANDs with the "faces through" sets.
     `min_seal` is the least facet count a vertex may have when its star
-    closes; `degree_prunes` counts the additions it rejected.
+    closes; `degree_prunes` counts the additions it rejected.  `completions`
+    counts every pool with no open ridge, also those that close on fewer
+    vertices than the census asks for, which its `on_complete` drops.
     """
 
     def __init__(self, d: int, max_vertices: int, max_facets: int, min_seal: int = 0):
@@ -343,7 +352,7 @@ def _star_completions(
     mapping = label_map or {i: i for i in range(m)}
     for fm in link.facet_masks:
         star_facet = 1  # vertex 0
-        for b in _iter_bits(fm):
+        for b in _bits(fm):
             star_facet |= 1 << (mapping[b] + 1)
         ok = search.try_add(star_facet)
         assert ok, "a census 2-sphere star must always insert cleanly"

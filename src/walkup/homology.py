@@ -1,20 +1,28 @@
 """Integer simplicial homology via Smith normal form.
 
 Boundary matrices are exact integer matrices with faces sorted by bitmask
-value and signs from the ascending-vertex orientation.  The normal form
-first eliminates +-1 pivots on sparse rows; each contributes an invariant
-factor 1, and boundary matrices of manifolds are nearly all such pivots.
-The residual core goes to the dense `smith_normal_form`, which works modulo
-twice a non-zero maximal minor, so its entries stay bounded.  Invariant
-factors are unique, so the split changes no result.
+value and signs from the ascending-vertex orientation.  `homology` never
+builds the edge boundary: its rank is n minus the number of components, and
+H0 is free.  For the boundaries of 2-faces and 3-faces it reduces each
+face's signed boundary (cached per face mask, keyed by the masks of its
+boundary faces) as it arrives against a table mapping each pivot column to
+the row holding 1 there (Dumas, Heckenbach, Saunders and Welker, Computing
+simplicial homology based on efficient Smith normal form algorithms, 2003).
+A row left with a +-1 entry becomes a pivot, with invariant factor 1, and
+boundary matrices of manifolds are nearly all such pivots.  The few other
+rows go to the dense `smith_normal_form`, which works modulo twice a
+non-zero maximal minor, so its entries stay bounded.  Invariant factors are
+unique, so the split changes no result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
+from typing import Iterable
 
-from .core import PreconditionError, SimplicialComplex, _iter_bits
+from .core import PreconditionError, SimplicialComplex, _bits
 
 Matrix = list[list[int]]
 
@@ -41,15 +49,19 @@ class HomologyProfile:
         return "  ".join(f"H{i}={self.group(i)}" for i in range(len(self.betti)))
 
 
+@lru_cache(maxsize=None)
+def _face_boundary(face: int) -> tuple[tuple[int, int], ...]:
+    """The signed boundary of a face mask, as (boundary face mask, sign)
+    pairs in ascending vertex order."""
+    return tuple((face ^ (1 << b), -1 if j % 2 else 1) for j, b in enumerate(_bits(face)))
+
+
 def _boundary_columns(K: SimplicialComplex, i: int) -> list[dict[int, int]]:
     """The columns of `boundary_matrix(K, i)`, each as {row: entry}."""
     if i < 1 or i > K.dim:
         raise PreconditionError(f"boundary dimension {i} out of range 1..{K.dim}")
     row_index = {m: r for r, m in enumerate(K.faces_masks(i - 1))}
-    return [
-        {row_index[cm ^ (1 << b)]: (-1) ** j for j, b in enumerate(_iter_bits(cm))}  # ascending vertex order
-        for cm in K.faces_masks(i)
-    ]
+    return [{row_index[m]: x for m, x in _face_boundary(cm)} for cm in K.faces_masks(i)]
 
 
 def boundary_matrix(K: SimplicialComplex, i: int) -> Matrix:
@@ -135,41 +147,84 @@ def _unimodular(u: list[int], v: list[int], t: int, M: int) -> tuple[list[int], 
     return [(s * x + k * y) % M for x, y in zip(u, v)], [(a * y - b * x) % M for x, y in zip(u, v)]
 
 
-def _sparse_smith(rows: list[dict[int, int]]) -> tuple[list[int], int]:
-    """`smith_normal_form` of the matrix with these rows, each {column: entry}.
+def _reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> None:
+    """Clear every pivot column of `row` in place with the pivot rows.
 
-    A +-1 entry is a pivot with invariant factor 1: row operations clear its
-    column, and column operations then clear its row without touching other
-    rows.  What no such pivot reaches is the core, left to the dense routine.
+    A pivot row is zero on the columns of the pivots found before it, so
+    each clearing step trades a pivot column for columns of later pivots
+    only, and the steps end."""
+    hits = row.keys() & pivots.keys()
+    while hits:
+        for c in hits:
+            q = row.get(c)
+            if q:
+                for c2, y in pivots[c].items():
+                    z = row.get(c2, 0) - q * y
+                    if z:
+                        row[c2] = z
+                    else:
+                        del row[c2]
+        hits = row.keys() & pivots.keys()
+
+
+def _sparse_smith(rows: Iterable[dict[int, int] | tuple[tuple[int, int], ...]]) -> tuple[list[int], int]:
+    """`smith_normal_form` of the matrix with these rows, each {column: entry}
+    or its (column, entry) pairs.
+
+    Each row, as it arrives, is reduced against the pivot table, which maps
+    a pivot column to the row holding 1 there.  A row left with a +-1 entry
+    becomes the pivot of that column, negated if the entry is -1; any other
+    non-empty row joins the residual rows.  At the end the residual rows are
+    reduced against the pivots found after them, and what is left goes to
+    the dense routine.  Only multiples of pivot rows were added to other
+    rows, so the matrix is row-equivalent to the pivot rows over the
+    residual rows.  On the pivot columns, in the order the pivots were
+    found, the pivot rows are unit upper-triangular, and the residual rows
+    are zero there.  Column operations therefore clear the pivot rows
+    outside the pivot columns, then reduce that triangle to the identity,
+    without touching the residual rows: the normal form is the block sum of
+    an identity and SNF(residual).
     """
-    rows = [dict(row) for row in rows]
-    units = 0
-    pending = list(range(len(rows) - 1, -1, -1))  # first row on top
-    while pending:
-        row = rows[pending.pop()]
+    pivots: dict[int, dict[int, int]] = {}
+    residual: list[dict[int, int]] = []
+    for items in rows:
+        row = dict(items)
+        _reduce(row, pivots)
         c = next((c for c, x in row.items() if x == 1 or x == -1), None)
         if c is None:
-            continue
-        x = row.pop(c)
-        for r, other in enumerate(rows):
-            if c in other:
-                q = other.pop(c) * x
-                for c2, y in row.items():
-                    z = other.get(c2, 0) - q * y
-                    if z:
-                        other[c2] = z
-                    else:
-                        del other[c2]
-                pending.append(r)
-        row.clear()
-        units += 1
-    cols = sorted({c for row in rows for c in row})
-    factors, rank = smith_normal_form([[row.get(c, 0) for c in cols] for row in rows if row])
-    return [1] * units + factors, units + rank
+            if row:
+                residual.append(row)
+        else:
+            pivots[c] = row if row[c] == 1 else {c2: -x for c2, x in row.items()}
+    for row in residual:
+        _reduce(row, pivots)
+    core = [row for row in residual if row]
+    cols = sorted({c for row in core for c in row})
+    factors, rank = smith_normal_form([[row.get(c, 0) for c in cols] for row in core])
+    return [1] * len(pivots) + factors, len(pivots) + rank
+
+
+def _components(masks: Iterable[int]) -> int:
+    """The number of components of the faces, when faces sharing a vertex meet."""
+    parts: list[int] = []
+    for m in masks:
+        rest = []
+        for part in parts:
+            if part & m:
+                m |= part
+            else:
+                rest.append(part)
+        rest.append(m)
+        parts = rest
+    return len(parts)
 
 
 def homology(K: SimplicialComplex) -> HomologyProfile:
-    """H_i = Z^betti_i + torsion, computed from the boundary normal forms."""
+    """H_i = Z^betti_i + torsion, computed from the boundary normal forms.
+
+    The edge boundary has rank n - (number of components), and its normal
+    form has only factors 1, so H0 is free and the matrix is never built.
+    """
     d = K.dim
     if d > 3:
         raise PreconditionError(f"homology guardrail: dimension {d} > 3")
@@ -177,9 +232,11 @@ def homology(K: SimplicialComplex) -> HomologyProfile:
         raise PreconditionError("homology of the empty complex is undefined")
     fvec = K.f_vector()
     ranks = [0] * (d + 2)
+    ranks[1] = K.vertex_count - _components(K.facet_masks)
     torsion: list[tuple[int, ...]] = [()] * (d + 1)
-    for i in range(1, d + 1):
-        factors, rank = _sparse_smith(_boundary_columns(K, i))  # the transpose: same factors
+    for i in range(2, d + 1):
+        # the rows are the i-faces: the transpose, with the same factors
+        factors, rank = _sparse_smith(_face_boundary(cm) for cm in K.faces_masks(i))
         ranks[i] = rank
         torsion[i - 1] = tuple(f for f in factors if f > 1)
     betti = tuple(fvec[i] - ranks[i] - ranks[i + 1] for i in range(d + 1))

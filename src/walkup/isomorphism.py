@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PreconditionError, SimplicialComplex, _iter_bits, _label_key
+from .core import PreconditionError, SimplicialComplex, _bits, _label_key
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,18 @@ class PermutationGroup:
 
 
 def _pair_degrees(K: SimplicialComplex) -> list[list[int]]:
-    """deg({v,w}) for every edge, -1 for non-edges; diagonal holds deg(v)."""
+    """deg({v,w}) for every edge, -1 for non-edges; diagonal holds deg(v).
+
+    One pass over the facets' pairs; deg(v), the vertex count of v's link,
+    is the number of v's neighbours, as every link vertex spans an edge
+    with v."""
     n = K.vertex_count
     pd = [[-1] * n for _ in range(n)]
-    for size in (1, 2):
-        for face, union in K.stars(size)[1].items():
-            v, w = (face & -face).bit_length() - 1, face.bit_length() - 1
-            pd[v][w] = pd[w][v] = union.bit_count() - size
+    for face, union in K.stars(2)[1].items():
+        v, w = (face & -face).bit_length() - 1, face.bit_length() - 1
+        pd[v][w] = pd[w][v] = union.bit_count() - 2
+    for v, row in enumerate(pd):
+        row[v] = n - row.count(-1)  # the -1s are the non-neighbours and v itself
     return pd
 
 
@@ -160,7 +165,7 @@ Search = tuple[tuple[int, ...], list[int], list[tuple[int, ...]], int]
 def _search(K: SimplicialComplex) -> Search:
     """(least encoding, an ordering achieving it, harvested automorphisms, |Aut|)."""
     n = K.vertex_count
-    verts = [tuple(_iter_bits(fm)) for fm in K.facet_masks]
+    verts = [_bits(fm) for fm in K.facet_masks]
     pd = _pair_degrees(K)
     base: dict[tuple, list[int]] = {}
     for v in range(n):
@@ -244,8 +249,9 @@ def are_isomorphic(
         return False, None
     inverse_l = {cid: lab for lab, cid in cf_l.relabeling.items()}
     witness = {lab: inverse_l[cid] for lab, cid in cf_k.relabeling.items()}
-    mapped = {frozenset(witness[lab] for lab in f) for f in K.facets()}
-    if mapped != set(L.facets()):
+    image = [L._index[witness[lab]] for lab in K.labels]
+    mapped = sorted(sum(1 << image[b] for b in _bits(fm)) for fm in K.facet_masks)
+    if tuple(mapped) != L.facet_masks:  # facet masks are kept sorted
         raise AssertionError("canonical relabelings produced an invalid witness")
     return True, witness
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .core import PreconditionError, SimplicialComplex, _iter_bits
+from .core import PreconditionError, SimplicialComplex, _bits, _subfaces
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,21 @@ def _connected(masks: Sequence[int]) -> bool:
 
 
 def _unreached_facet(K: SimplicialComplex) -> int | None:
-    """The first facet not reached from the first one across shared ridges."""
+    """The first facet of the pure complex K not reached from the first one
+    across shared ridges."""
     facets = K.facet_masks
+    through: dict[int, list[int]] = {}  # ridge -> the indices of the facets through it
+    for j, f in enumerate(facets):
+        for r in _subfaces(f)[K.dim]:
+            through.setdefault(r, []).append(j)
     seen = {0}
     stack = [0]
     while stack:
-        i = stack.pop()
-        for j in range(len(facets)):
-            if j not in seen and (facets[i] & facets[j]).bit_count() == K.dim:
-                seen.add(j)
-                stack.append(j)
+        for r in _subfaces(facets[stack.pop()])[K.dim]:
+            for j in through[r]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
     return next((f for j, f in enumerate(facets) if j not in seen), None)
 
 
@@ -116,12 +121,12 @@ def _is_two_sphere_masks(masks: Sequence[int]) -> bool:
         if t.bit_count() != 3:
             return False
         used |= t
-        for b in _iter_bits(t):
+        for b in _bits(t):
             edges[t ^ (1 << b)] = edges.get(t ^ (1 << b), 0) + 1
     if used.bit_count() - len(edges) + len(masks) != 2 or any(c != 2 for c in edges.values()):
         return False
     return _connected(masks) and all(
-        _connected([t ^ (1 << b) for t in masks if t >> b & 1]) for b in _iter_bits(used)
+        _connected([t ^ (1 << b) for t in masks if t >> b & 1]) for b in _bits(used)
     )
 
 

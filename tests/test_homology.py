@@ -5,11 +5,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from walkup import constructions, homology
 from walkup.core import PreconditionError, from_facets
 from walkup.homology import (
+    HomologyProfile,
     _boundary_columns,
     _sparse_smith,
     boundary_matrix,
@@ -158,6 +159,15 @@ def test_homology_isomorphism_invariant(k39):
         assert homology_of(relabelled) == base
 
 
+def test_h0_counts_components(torus7):
+    two_triangles = from_facets([["a", "b"], ["b", "c"], ["a", "c"], ["x", "y"], ["y", "z"], ["x", "z"]])
+    assert homology_of(two_triangles) == HomologyProfile((2, 2), ((), ()))
+    two_points = from_facets([["p"], ["q"]])
+    assert homology_of(two_points) == HomologyProfile((2,), ((),))
+    torus_and_point = from_facets(torus7.facets() + [frozenset(["x"])])
+    assert homology_of(torus_and_point) == HomologyProfile((2, 2, 1), ((), (), ()))
+
+
 def test_homology_guardrail():
     with pytest.raises(PreconditionError):
         homology_of(constructions.standard_sphere(4))
@@ -180,6 +190,18 @@ def test_sparse_smith_equals_dense(mat):
     assert _sparse_smith(_sparse_rows(mat)) == smith_normal_form(mat)
 
 
+def test_sparse_smith_reduces_a_residual_row_by_a_later_pivot():
+    """Each first row has no +-1 entry when it arrives; the pivot that
+    clears its column comes after it."""
+    for mat in (
+        [[2, 2], [1, 0]],  # residual {1: 2}: factors 1, 2
+        [[2, 3], [1, 1]],  # residual {1: 1}: factors 1, 1
+        [[2, 2], [1, 1]],  # residual cleared: rank 1
+        [[2, 0, 4], [0, 3, 3], [1, 1, 0], [0, 1, 1]],
+    ):
+        assert _sparse_smith(_sparse_rows(mat)) == smith_normal_form(mat), mat
+
+
 def test_sparse_smith_core_carries_torsion(k39, rp2):
     """Unit pivots give only factors 1, so the 2 comes from the dense core."""
     for K, i in ((k39, 3), (rp2, 2)):
@@ -189,6 +211,35 @@ def test_sparse_smith_core_carries_torsion(k39, rp2):
         assert _sparse_smith(_sparse_rows(boundary_matrix(K, i))) == (factors, rank)
     assert homology_of(k39).torsion == ((), (), (2,), ())
     assert homology_of(rp2).torsion == ((), (2,), ())
+
+
+@st.composite
+def _small_complexes(draw):
+    """A complex of at most 3 dimensions on at most 7 vertices."""
+    n = draw(st.integers(1, 7))
+    facets = draw(st.lists(
+        st.sets(st.integers(1, n), min_size=1, max_size=min(4, n)), min_size=1, max_size=12,
+    ))
+    return from_facets(facets)
+
+
+def _dense_profile(K):
+    """The homology profile from the dense normal form of every boundary,
+    the edge boundary included."""
+    ranks = [0] * (K.dim + 2)
+    torsion = [()] * (K.dim + 1)
+    for i in range(1, K.dim + 1):
+        factors, ranks[i] = smith_normal_form(boundary_matrix(K, i))
+        torsion[i - 1] = tuple(f for f in factors if f > 1)
+    fvec = K.f_vector()
+    betti = tuple(fvec[i] - ranks[i] - ranks[i + 1] for i in range(K.dim + 1))
+    return HomologyProfile(betti, tuple(torsion))
+
+
+@settings(max_examples=60)
+@given(_small_complexes())
+def test_homology_matches_the_dense_normal_form(K):
+    assert homology_of(K) == _dense_profile(K)
 
 
 # Entries of this matrix grow to millions of bits under remainder-swap

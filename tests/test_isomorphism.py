@@ -137,6 +137,29 @@ def test_are_isomorphic_witness(catalog):
         assert mapped == set(L.facets())
 
 
+def test_are_isomorphic_rejects_a_corrupted_witness(k39, monkeypatch):
+    """The witness is checked on facet masks: one wrong relabelling entry
+    must raise, not pass unnoticed."""
+    from walkup import isomorphism
+    from walkup.isomorphism import CanonicalForm
+
+    L = _random_relabel(k39, random.Random(3))
+    assert are_isomorphic(k39, L)[0]
+    real = isomorphism.canonical_form
+
+    def corrupted(X):
+        cf = real(X)
+        if X is not k39:
+            return cf
+        relabeling = dict(cf.relabeling)
+        relabeling["1"] = relabeling["2"]  # two vertices onto one
+        return CanonicalForm(cf.bytes, relabeling)
+
+    monkeypatch.setattr(isomorphism, "canonical_form", corrupted)
+    with pytest.raises(AssertionError, match="invalid witness"):
+        are_isomorphic(k39, L)
+
+
 def test_s3_equals_suspension(catalog):
     sus = constructions.cycle(5).relabel({"5": "x"}).one_point_suspension("x", "y")
     assert canonical_form(sus) == canonical_form(catalog["S3"])

@@ -26,6 +26,39 @@ def test_pseudomanifold_witness_after_facet_removal(k39):
     assert witness < removed and len(witness) == 3
 
 
+def _ref_unreached(K):
+    """The first facet not reached from the first one through facets that
+    share a ridge, by a pairwise scan over frozensets."""
+    facets = K.facets()
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for j, g in enumerate(facets):
+            if j not in seen and len(facets[i] & g) == K.dim:
+                seen.add(j)
+                stack.append(j)
+    return next((f for j, f in enumerate(facets) if j not in seen), None)
+
+
+def test_unreached_facet_matches_a_reference(kernel_pool, torus7):
+    """Strong connectivity: facets that share only a vertex or an edge of a
+    3-complex are not adjacent, and the witness is the first unreached facet."""
+    tetrahedron = [set(t) for t in combinations("abcd", 3)]
+    sphere3 = constructions.standard_sphere(3)
+    pool = [K for _, K in kernel_pool if K.is_pure] + [
+        torus7,
+        from_facets(tetrahedron + [set(t) for t in combinations("defg", 3)]),  # wedged at d
+        from_facets(tetrahedron + [set(t) for t in combinations("wxyz", 3)]),  # disjoint
+        from_facets(sphere3.facets() + sphere3.relabel({"1": "a", "2": "b", "3": "c"}).facets()),  # at an edge
+    ]
+    unreached = 0
+    for K in pool:
+        lost = recognition._unreached_facet(K)
+        assert (lost and K.face_labels(lost)) == _ref_unreached(K), K
+        unreached += lost is not None
+    assert unreached == 3
+
+
 def test_two_sphere_catalog(catalog, k39):
     for name, K in catalog.items():
         assert recognition.is_two_sphere(K), name
