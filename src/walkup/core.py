@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 16
@@ -70,12 +71,12 @@ def _subfaces(facet: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _antichain(masks: Iterable[int]) -> list[int]:
-    """Drop masks contained in another mask; result sorted ascending."""
-    distinct = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
+    """Drop masks contained in another mask; result sorted ascending.  Masks
+    of one size never contain each other, so only larger kept masks are tried."""
     kept: list[int] = []
-    for m in distinct:
-        if not any(k & m == m for k in kept):
-            kept.append(m)
+    for _, group in groupby(sorted(set(masks), key=int.bit_count, reverse=True), int.bit_count):
+        larger = tuple(kept)
+        kept.extend(m for m in group if not any(k & m == m for k in larger))
     kept.sort()
     return kept
 

@@ -22,10 +22,17 @@ isomorph rejections and representatives do not depend on it.
 
 The 3-manifold censuses are anchored on a vertex star rather than a single
 facet: vertex 0's link is pinned to one of the canonically labelled m-vertex
-2-sphere census members, fixing 2m - 4 facets.  A vertex whose star closes
-with fewer facets is rejected; a closed star is final, and a k-vertex 2-sphere
-has 2k - 4 triangles, so vertex 0 has least degree.  Every manifold is thus
-reconstructed from each of its least-degree vertices, and duplicates fall to
+2-sphere census members, fixing 2m - 4 facets.  A closed star is final, so
+a vertex's link type is known once it closes: its facet count, then the
+sorted facet counts at the pairs through it (its link's vertex degrees), a
+cheap invariant before the canonical form (McKay, "Isomorph-free exhaustive
+generation", 1998).  A vertex closing with fewer facets than vertex 0, or as
+many and a smaller type, is rejected, so vertex 0 has least type in every
+completion.  Conversely, label a least-type vertex v of a manifold M as 0,
+its link as the census seed isomorphic to it, and the rest in first-use
+order: every star closing in a sub-pool of that copy is its star in M, of
+type at least v's, so no check refuses the copy.  Every manifold is thus
+reconstructed from each of its least-type vertices, and duplicates fall to
 the canonical-form filter.
 
 Cheap necessary conditions prune the tree: per-face facet counts respect the
@@ -59,7 +66,7 @@ from .isomorphism import canonical_form, canonical_relabel
 from .recognition import _connected
 
 MAX_N = 9
-_STAT_KEYS = ("nodes", "completions", "isomorph_rejections", "degree_prunes")
+_STAT_KEYS = ("nodes", "completions", "isomorph_rejections", "degree_prunes", "key_prunes")
 
 
 @dataclass
@@ -106,6 +113,13 @@ def _facet_table(d: int) -> dict[int, tuple[int, int, tuple, tuple]]:
 
 
 @lru_cache(maxsize=None)
+def _pair_table(d: int) -> tuple[tuple[int, ...], ...]:
+    """For each vertex b: the "faces through" sets of the pairs {b, w}."""
+    through = dict(p for *_, at_pairs in _facet_table(d).values() for p in at_pairs)
+    return tuple(tuple(t for p, t in through.items() if p >> b & 1) for b in range(MAX_N))
+
+
+@lru_cache(maxsize=None)
 def _ridge_table(d: int) -> tuple[list, list]:
     """For each ridge mask r (a d-subset of the 9 vertices): the offsets of the
     fields of the (d-1)-faces r - {x} in the closed-neighbour word, and the
@@ -134,7 +148,9 @@ class _ClosureSearch:
     and the vertex count.  Facet counts at a vertex or pair, seal status and
     ridge counts are popcounts of ANDs with the "faces through" sets.
     `min_seal` is the least facet count a vertex may have when its star
-    closes; `degree_prunes` counts the additions it rejected.  `completions`
+    closes; `degree_prunes` counts the additions it rejected.  A vertex that
+    closes with exactly `min_seal` facets must not have a link type (see
+    `_link_type`) below `min_type`; `key_prunes` counts those.  `completions`
     counts every pool with no open ridge, also those that close on fewer
     vertices than the census asks for, which its `on_complete` drops.
     """
@@ -144,7 +160,9 @@ class _ClosureSearch:
         self.max_vertices = max_vertices
         self.max_facets = max_facets
         self.min_seal = min_seal
+        self.min_type: tuple = ()
         self.table = _facet_table(d)
+        self.pairs = _pair_table(d)
         self.shifts, self.closes = _ridge_table(d)
         self.facets = 0
         self.present = 0
@@ -160,6 +178,7 @@ class _ClosureSearch:
         self.nodes = 0
         self.completions = 0
         self.degree_prunes = 0
+        self.key_prunes = 0
 
     def to_complex(self) -> SimplicialComplex:
         """The pool as a complex on vertices 0..used-1, labelled 1..used: fresh
@@ -199,8 +218,12 @@ class _ClosureSearch:
         for b, through in at_vertices:
             if not open_ & through:
                 mine = facets & through
-                if mine.bit_count() < self.min_seal:
+                seal = mine.bit_count()
+                if seal < self.min_seal:
                     self.degree_prunes += 1
+                    return False
+                if seal == self.min_seal and self._link_type(b, facets) < self.min_type:
+                    self.key_prunes += 1
                     return False
                 if not self._vertex_link_ok(b, mine, (present & through).bit_count()):
                     return False
@@ -222,6 +245,12 @@ class _ClosureSearch:
         self.facets, self.present, self.open, self.cn, self.used = self._saved.pop()
 
     # -- seal validation ---------------------------------------------------
+
+    def _link_type(self, b: int, facets: int) -> tuple[int, tuple[int, ...]]:
+        """Vertex b's link type in the pool `facets`: its facet count and the
+        sorted facet counts at the 8 pairs {b, w}, its link's vertex degrees."""
+        counts = sorted((facets & through).bit_count() for through in self.pairs[b])
+        return sum(counts) // 3, tuple(counts)
 
     def _vertex_link_ok(self, b: int, facets: int, ridges: int) -> bool:
         """Once no ridge at vertex b is open, its link (`facets` at b, with
@@ -356,6 +385,7 @@ def _star_completions(
             star_facet |= 1 << (mapping[b] + 1)
         ok = search.try_add(star_facet)
         assert ok, "a census 2-sphere star must always insert cleanly"
+    search.min_type = search._link_type(0, search.facets)
 
     def on_complete(s: _ClosureSearch) -> None:
         if s.used != MAX_N:
@@ -371,6 +401,7 @@ def _star_completions(
     stats["nodes"] += search.nodes
     stats["completions"] += search.completions
     stats["degree_prunes"] += search.degree_prunes
+    stats["key_prunes"] += search.key_prunes
 
 
 def _classify(found: dict[bytes, SimplicialComplex]) -> tuple[list[SimplicialComplex], dict[str, int]]:
@@ -457,7 +488,7 @@ def enumerate_neighbourly_9_manifolds(
 
 def enumerate_all_9_manifolds(confirm: bool = False, threads: int = 1) -> CensusResult:
     """The full census of 9-vertex combinatorial 3-manifolds: one pinned-link
-    search per 2-sphere on 4..8 vertices (about 13 s on one thread of a 2-core
+    search per 2-sphere on 4..8 vertices (about 10 s on one thread of a 2-core
     machine).  Gated behind an explicit flag, as the costliest census.
     """
     if not confirm:

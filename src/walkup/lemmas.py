@@ -21,12 +21,7 @@ from itertools import combinations
 
 from . import recognition
 from .core import PreconditionError, SimplicialComplex, _label_key
-from .isomorphism import (
-    PermutationGroup,
-    automorphism_group,
-    normalize_object,
-    orbits,
-)
+from .isomorphism import automorphism_group, normalize_object, orbits
 
 VertexSet = frozenset[str]
 SetFamily = frozenset[VertexSet]
@@ -229,11 +224,6 @@ def coclique_census(
     return CocliqueCensus(
         by_size, reduce(by_size), covering_by_size, reduce(covering_by_size), group.order
     )
-
-
-def orbit_representative(group: PermutationGroup, family) -> SetFamily:
-    """Lexicographically least member of the orbit of a set family."""
-    return orbits(group, [family])[0].representative
 
 
 # -- facet degree ledger and the 28/29 dichotomy -------------------------------
@@ -498,7 +488,7 @@ def coclique_case_check(sphere_name: str) -> LemmaReport:
         if not covers_all_triangles(X, fam):
             violations.append(f"case {case_name} does not cover every triangle")
             continue
-        case_reps[case_name] = orbit_representative(group, fam)
+        case_reps[case_name] = orbits(group, [fam])[0].representative
 
     # Distinct orbits spanned by the cases must be exactly the census orbits.
     expected_reps = {

@@ -299,6 +299,7 @@ def test_enumerate_neighbourly_cli(tmp_path):
         "total": 51, "sphere": 50, "non_sphere": 1,
     }
     assert "degree_prunes" in outcome.report["data"]["stats"]
+    assert "key_prunes" in outcome.report["data"]["stats"]
     blocks = [b for b in out.read_text().split("\n\n") if b.strip()]
     assert len(blocks) == 51
 

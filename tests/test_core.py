@@ -4,10 +4,12 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from walkup import constructions
 from walkup.core import (
     PreconditionError,
+    _antichain,
     from_facets,
     from_json,
     from_text,
@@ -246,3 +248,12 @@ def test_join_vertex_budget():
     right = from_facets([set(f"v{i}" for i in range(1, 10))])
     with pytest.raises(PreconditionError):
         left.join(right)  # 17 vertices would not fit a machine word
+
+
+@given(st.lists(st.integers(min_value=0, max_value=255), max_size=40))
+def test_antichain_matches_a_pairwise_filter(masks):
+    """Mixed-size masks over at most 8 vertices, against the plain rule: keep
+    each distinct mask that no other distinct mask contains."""
+    distinct = set(masks)
+    expected = sorted(m for m in distinct if not any(k != m and k & m == m for k in distinct))
+    assert _antichain(masks) == expected

@@ -146,6 +146,59 @@ def test_closure_search_rejects_a_seal_below_min_seal():
     assert search.open == 0 and search.degree_prunes == 0
 
 
+def _seal_in_suspension(S: SimplicialComplex, anchor: int, sealer: int):
+    """The suspension of a 7-vertex 2-sphere S (ids 0..6) with apexes 7 and 8,
+    ids `anchor` and 0 swapped: vertex 0's star is pinned, with min_seal 10
+    and min_type as the censuses set them, then the star of `sealer` (an id
+    before the swap) is added but for its last facet.  Returns the search,
+    that facet, which seals `sealer` with 10 facets, and `sealer`'s new id."""
+    swap = {0: anchor, anchor: 0}
+    facets = [
+        sum(1 << swap.get(b, b) for b in _iter_bits(apex | m))
+        for apex in (1 << 7, 1 << 8)
+        for m in S.facet_masks
+    ]
+    sealer = swap.get(sealer, sealer)
+    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27, min_seal=10)
+    assert all(search.try_add(f) for f in facets if f & 1)
+    search.min_type = search._link_type(0, search.facets)
+    rest = [f for f in facets if not f & 1 and f >> sealer & 1]
+    assert all(search.try_add(f) for f in rest[:-1])
+    return search, rest[-1], sealer
+
+
+def test_closure_search_rejects_a_seal_below_the_anchor_link_type():
+    """In the suspension of a 7-vertex 2-sphere, the apexes and the vertices of
+    degree 5 all have 10 facets.  An apex whose link has degrees 3445555 seals
+    below an anchor whose link is the pentagonal bipyramid (degrees 4444455):
+    it is refused, counted in key_prunes, and the state is left as it was.  A
+    larger type (the roles swapped) and an equal one are accepted."""
+    spheres = {
+        tuple(sorted(S.degree([v]) for v in S.labels)): S
+        for S in enumerate_two_spheres(7).complexes
+    }
+    small, bipyramid = spheres[(3, 4, 4, 4, 5, 5, 5)], spheres[(4, 4, 4, 4, 4, 5, 5)]
+    five = next(i for i, v in enumerate(small.labels) if small.degree([v]) == 5)
+
+    search, last, b = _seal_in_suspension(small, anchor=five, sealer=7)
+    assert search.min_type == (10, (0, 4, 4, 4, 4, 4, 5, 5))
+    assert search._link_type(b, search.facets | 1 << last) == (10, (0, 3, 4, 4, 4, 5, 5, 5))
+    before = (search.facets, search.present, search.open, search.cn, search.used)
+    assert not search.try_add(last)
+    assert (search.facets, search.present, search.open, search.cn, search.used) == before
+    assert search.key_prunes == 1 and search.degree_prunes == 0
+
+    search, last, b = _seal_in_suspension(small, anchor=7, sealer=five)
+    assert search.min_type == (10, (0, 3, 4, 4, 4, 5, 5, 5))
+    assert search.try_add(last) and search.key_prunes == 0
+    assert search._link_type(b, search.facets) == (10, (0, 4, 4, 4, 4, 4, 5, 5))
+
+    apex = next(i for i, v in enumerate(bipyramid.labels) if bipyramid.degree([v]) == 5)
+    search, last, b = _seal_in_suspension(bipyramid, anchor=7, sealer=apex)
+    assert search.try_add(last) and search.key_prunes == 0
+    assert search._link_type(b, search.facets) == search.min_type
+
+
 def test_closure_search_refuses_a_pair_link_of_two_triangles():
     """The facets 01ab for the edges ab of two triangles on 234 and 567, the
     path 5-6-7 first, so that the pair {0, 1} stays open until the last one:
@@ -262,13 +315,42 @@ def test_full_census_requires_opt_in():
         enumerate_all_9_manifolds()
 
 
+def _link_type(L: SimplicialComplex) -> tuple[int, tuple[int, ...]]:
+    """The link type of a vertex of a 9-vertex 3-manifold, from its link L
+    alone: L's triangle count and the sorted triangle counts at the vertices
+    of L, with a 0 for each of the 8 other vertices off L."""
+    degrees = [sum(m >> w & 1 for m in L.facet_masks) for w in range(L.vertex_count)]
+    return len(L.facet_masks), tuple(sorted(degrees + [0] * (8 - L.vertex_count)))
+
+
+def _mass(complexes) -> int:
+    """The labelled copies a vertex-anchored census reaches: the sum over
+    classes M of |Aut(lk v)| / |Aut(M)| over the vertices v of least link
+    type, each term an integer."""
+    from fractions import Fraction
+
+    from walkup.isomorphism import automorphism_group
+
+    total = 0
+    for K in complexes:
+        typed = [(_link_type(L), L) for L in (K.link([v]) for v in K.labels)]
+        least = min(t for t, _ in typed)
+        term = Fraction(
+            sum(automorphism_group(L).order for t, L in typed if t == least),
+            automorphism_group(K).order,
+        )
+        assert term.denominator == 1
+        total += int(term)
+    return total
+
+
 @pytest.mark.slow
 @pytest.mark.full_census
 def test_full_census_restricts_to_neighbourly_census(full_census, neighbourly_census):
     full = full_census
     assert full.stats == {
-        "nodes": 171780, "completions": 18082, "isomorph_rejections": 16453,
-        "degree_prunes": 15552,
+        "nodes": 146076, "completions": 14536, "isomorph_rejections": 12955,
+        "degree_prunes": 10619, "key_prunes": 5778,
     }
     for K in full.complexes:
         assert recognition.is_combinatorial_3_manifold(K)
@@ -281,24 +363,10 @@ def test_full_census_restricts_to_neighbourly_census(full_census, neighbourly_ce
     assert neighbourly == direct
 
     # the mass formula extends to the full census: every class is found once
-    # per labelled copy with the link of a least-degree vertex pinned to a
+    # per labelled copy with the link of a least-link-type vertex pinned to a
     # canonical seed
-    from fractions import Fraction
-
-    from walkup.isomorphism import automorphism_group
-
     observed = full.counts["total"] + full.stats["isomorph_rejections"]
-    predicted = Fraction(0)
-    for K in full.complexes:
-        links = [K.link([v]) for v in K.labels]
-        least = min(L.vertex_count for L in links)
-        term = Fraction(
-            sum(automorphism_group(L).order for L in links if L.vertex_count == least),
-            automorphism_group(K).order,
-        )
-        assert term.denominator == 1
-        predicted += term
-    assert predicted == observed == 17750
+    assert _mass(full.complexes) == observed == 14252
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -322,23 +390,11 @@ def test_sphere_census_mass_formula(n):
 
 @pytest.mark.slow
 def test_neighbourly_census_mass_formula(neighbourly_census):
-    """Each class must be found once per labelled copy with a pinned canonical
-    vertex link: sum over vertices of |Aut(link)| divided by |Aut(M)|."""
-    from fractions import Fraction
-
-    from walkup.isomorphism import automorphism_group
-
+    """Each class must be found once per labelled copy with the link of a
+    least-link-type vertex pinned to a canonical seed."""
     result = neighbourly_census
     observed = result.counts["total"] + result.stats["isomorph_rejections"]
-    predicted = Fraction(0)
-    for K in result.complexes:
-        term = Fraction(
-            sum(automorphism_group(K.link([v])).order for v in K.labels),
-            automorphism_group(K).order,
-        )
-        assert term.denominator == 1
-        predicted += term
-    assert predicted == observed == 639
+    assert _mass(result.complexes) == observed == 127
 
 
 @pytest.mark.slow
@@ -346,7 +402,8 @@ def test_neighbourly_census(k39, neighbourly_census):
     result = neighbourly_census
     assert result.counts == {"total": 51, "sphere": 50, "non_sphere": 1}
     assert result.stats == {
-        "nodes": 31894, "completions": 639, "isomorph_rejections": 588, "degree_prunes": 4741,
+        "nodes": 23031, "completions": 127, "isomorph_rejections": 76,
+        "degree_prunes": 3072, "key_prunes": 2346,
     }
     non_spheres = [
         K
@@ -365,7 +422,7 @@ def test_neighbourly_census(k39, neighbourly_census):
 def test_neighbourly_census_base_order_invariance(neighbourly_census):
     base = neighbourly_census
     shuffled = enumerate_neighbourly_9_manifolds(label_seed=12345)
-    assert shuffled.stats["nodes"] == 19893
+    assert shuffled.stats["nodes"] == 12540
     for key in ("completions", "isomorph_rejections"):
         assert shuffled.stats[key] == base.stats[key]
     assert base.counts == shuffled.counts

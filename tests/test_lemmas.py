@@ -126,8 +126,8 @@ def test_published_duplicates_are_orbit_equivalent(catalog):
     for name, (first, second), witness in duplicates:
         spec = cases[name]
         group = automorphism_group(catalog[name])
-        rep_a = lemmas.orbit_representative(group, normalize_object(spec["cases"][first]))
-        rep_b = lemmas.orbit_representative(group, normalize_object(spec["cases"][second]))
+        rep_a = lemmas.orbits(group, [normalize_object(spec["cases"][first])])[0].representative
+        rep_b = lemmas.orbits(group, [normalize_object(spec["cases"][second])])[0].representative
         assert rep_a == rep_b, name
 
         # the explicit witness, by plain set mapping, independent of automorphism_group
