@@ -39,16 +39,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_stdin() -> str:
-    return sys.stdin.read()
+    try:
+        return sys.stdin.buffer.read().decode("utf-8")  # strict, as for files
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"cannot read stdin: {exc}") from None
+
+
+def _parse_complex(text: str) -> SimplicialComplex:
+    """A complex in the JSON format (text opening with `{` or `[`) or the text format."""
+    if text.lstrip().startswith(("{", "[")):
+        return core.from_json(text)
+    return core.from_text(text)
 
 
 def _resolve_complex(token: str, seed: int | None = None) -> SimplicialComplex:
     if token == "-":
-        text = _read_stdin()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            return core.from_json(text)
-        return core.from_text(text)
+        return _parse_complex(_read_stdin())
     if ":" in token:
         kind, _, arg = token.partition(":")
         try:
@@ -69,13 +75,14 @@ def _resolve_complex(token: str, seed: int | None = None) -> SimplicialComplex:
     try:
         return constructions.get_complex(token)
     except PreconditionError:
-        if os.path.exists(token):
-            with open(token) as fh:
+        if not os.path.exists(token):
+            raise
+        try:
+            with open(token, encoding="utf-8") as fh:
                 text = fh.read()
-            if text.lstrip().startswith("{"):
-                return core.from_json(text)
-            return core.from_text(text)
-        raise
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PreconditionError(f"cannot read {token}: {exc}") from None
+        return _parse_complex(text)
 
 
 def _parse_face(text: str) -> list[str]:
@@ -289,7 +296,7 @@ def _cmd_enumerate(args) -> tuple[bool, dict, str]:
         result = enumeration.enumerate_two_spheres(args.n)
     else:
         if args.full:
-            result = enumeration.enumerate_all_9_manifolds(confirm=True, threads=args.threads)
+            result = enumeration.enumerate_all_9_manifolds(threads=args.threads)
         else:
             result = enumeration.enumerate_neighbourly_9_manifolds(threads=args.threads)
     if args.out:
@@ -299,6 +306,17 @@ def _cmd_enumerate(args) -> tuple[bool, dict, str]:
 
 
 # -- parser and dispatch ---------------------------------------------------------
+
+
+def _thread_count(text: str) -> int:
+    """A `--threads` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -313,8 +331,8 @@ def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         **(kwargs or {"default": None}),
     )
     parser.add_argument(
-        "--threads", type=int,
-        help="worker cap for the censuses (default from WALKUP_THREADS)",
+        "--threads", type=_thread_count,
+        help="worker cap for the censuses, at least 1 (default from WALKUP_THREADS)",
         # argparse converts a string default only when the flag is absent; bad values exit 1
         **(kwargs or {"default": os.environ.get("WALKUP_THREADS", "1")}),
     )

@@ -266,14 +266,6 @@ class SimplicialComplex:
     def degree(self, face: Face) -> int:
         return self.link(face).vertex_count
 
-    def edge_degree_histogram(self) -> dict[int, int]:
-        """Edge degrees: the popcount of the union of an edge's facets, less 2."""
-        hist: dict[int, int] = {}
-        for u in self.stars(2)[1].values():
-            d = u.bit_count() - 2
-            hist[d] = hist.get(d, 0) + 1
-        return hist
-
     # -- dunder ------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -349,14 +341,28 @@ def to_json_obj(K: SimplicialComplex) -> dict:
     }
 
 
-def from_json_obj(obj: dict) -> SimplicialComplex:
-    if not isinstance(obj, dict) or "facets" not in obj:
-        raise PreconditionError('JSON complex must be an object with a "facets" key')
-    return from_facets(obj["facets"])
+def _is_label(value: object) -> bool:
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
+def from_json_obj(obj: object) -> SimplicialComplex:
+    facets = obj.get("facets") if isinstance(obj, dict) else None
+    if not isinstance(facets, list) or not all(
+        isinstance(f, list) and all(map(_is_label, f)) for f in facets
+    ):
+        raise PreconditionError(
+            'JSON complex must be an object whose "facets" is an array of arrays '
+            "of strings or integers"
+        )
+    return from_facets(facets)
 
 
 def from_json(text: str) -> SimplicialComplex:
-    return from_json_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise PreconditionError(f"malformed JSON: {exc}") from None
+    return from_json_obj(obj)
 
 
 def to_json(K: SimplicialComplex) -> str:

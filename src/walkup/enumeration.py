@@ -50,12 +50,15 @@ edge link passed the cycle check, so every vertex link is a closed surface,
 and the vertex check made it connected with chi = 2: a 2-sphere.  With an
 8-vertex pinned link every vertex seals with at least 12 facets, the vertex
 cap, so all have degree 8 and the completion is neighbourly: the neighbourly
-census is the full census's 8-vertex tasks.  The tests and the benchmark
+census is the full census's 8-vertex tasks, and one driver runs both over
+their pinned-link sizes (8, or 4..8).  The tests and the benchmark
 re-verify every census member independently.
 """
 
 from __future__ import annotations
 
+import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -328,7 +331,24 @@ class _ClosureSearch:
         return best, choice
 
 
-# -- 2-sphere census ------------------------------------------------------------
+# -- censuses -------------------------------------------------------------------
+
+
+def _dedupe(n: int, found: dict[bytes, SimplicialComplex], stats: dict[str, int]):
+    """The `on_complete` of a census on exactly n vertices: keep one canonical
+    representative per class in `found`, and count repeats in `stats`."""
+
+    def on_complete(s: _ClosureSearch) -> None:
+        if s.used != n:
+            return
+        K = s.to_complex()
+        digest = canonical_form(K).bytes
+        if digest in found:
+            stats["isomorph_rejections"] += 1
+        else:
+            found[digest] = canonical_relabel(K)
+
+    return on_complete
 
 
 def enumerate_two_spheres(n: int) -> CensusResult:
@@ -338,25 +358,13 @@ def enumerate_two_spheres(n: int) -> CensusResult:
     search = _ClosureSearch(d=2, max_vertices=n, max_facets=2 * n - 4)
     search.try_add(0b111)
     found: dict[bytes, SimplicialComplex] = {}
-    rejected = 0
-
-    def on_complete(s: _ClosureSearch) -> None:
-        nonlocal rejected
-        if s.used != n:
-            return
-        K = s.to_complex()
-        digest = canonical_form(K).bytes
-        if digest in found:
-            rejected += 1
-        else:
-            found[digest] = canonical_relabel(K)
-
-    search.run(on_complete)
+    stats = {"isomorph_rejections": 0}
+    search.run(_dedupe(n, found, stats))
     ordered = [found[k] for k in sorted(found)]
     return CensusResult(
         ordered,
         {"two_sphere": len(ordered)},
-        {"nodes": search.nodes, "completions": search.completions, "isomorph_rejections": rejected},
+        {"nodes": search.nodes, "completions": search.completions, **stats},
     )
 
 
@@ -365,93 +373,58 @@ def _sphere_seeds(n: int) -> tuple[SimplicialComplex, ...]:
     return tuple(enumerate_two_spheres(n).complexes)
 
 
-# -- 9-vertex 3-manifold censuses -----------------------------------------------
-
-
-def _star_completions(
-    link: SimplicialComplex,
-    found: dict[bytes, SimplicialComplex],
-    stats: dict[str, int],
-    label_map: dict[int, int] | None = None,
-) -> None:
-    """Complete vertex 0's pinned star to closed 9-vertex 3-manifolds in which
-    vertex 0 has least degree."""
-    m = link.vertex_count
-    search = _ClosureSearch(d=3, max_vertices=MAX_N, max_facets=27, min_seal=2 * m - 4)
-    mapping = label_map or {i: i for i in range(m)}
-    for fm in link.facet_masks:
-        star_facet = 1  # vertex 0
-        for b in _bits(fm):
-            star_facet |= 1 << (mapping[b] + 1)
-        ok = search.try_add(star_facet)
+def _census_task(task: tuple[tuple[int, ...], tuple[int, ...]]):
+    """Complete vertex 0's star, its link pinned to the 2-sphere with facet
+    masks `masks` and vertex i relabelled perm[i], to closed 9-vertex
+    3-manifolds in which vertex 0 has least link type.  Safe to run in a
+    worker process."""
+    masks, perm = task
+    # a 2-sphere on m vertices has 2m - 4 triangles, the least seal allowed
+    search = _ClosureSearch(d=3, max_vertices=MAX_N, max_facets=27, min_seal=len(masks))
+    for fm in masks:
+        ok = search.try_add(1 | sum(2 << perm[b] for b in _bits(fm)))
         assert ok, "a census 2-sphere star must always insert cleanly"
     search.min_type = search._link_type(0, search.facets)
-
-    def on_complete(s: _ClosureSearch) -> None:
-        if s.used != MAX_N:
-            return
-        K = s.to_complex()
-        digest = canonical_form(K).bytes
-        if digest in found:
-            stats["isomorph_rejections"] += 1
-        else:
-            found[digest] = canonical_relabel(K)
-
-    search.run(on_complete)
-    stats["nodes"] += search.nodes
-    stats["completions"] += search.completions
-    stats["degree_prunes"] += search.degree_prunes
-    stats["key_prunes"] += search.key_prunes
-
-
-def _classify(found: dict[bytes, SimplicialComplex]) -> tuple[list[SimplicialComplex], dict[str, int]]:
-    ordered = [found[k] for k in sorted(found)]
-    spheres = sum(
-        1 for K in ordered if homology.homology(K) == homology.THREE_SPHERE_PROFILE
-    )
-    counts = {
-        "total": len(ordered),
-        "sphere": spheres,
-        "non_sphere": len(ordered) - spheres,
-    }
-    return ordered, counts
-
-
-def _census_task(task: tuple[str, tuple[int, ...] | None]):
-    """One pinned-link completion search; safe to run in a worker process."""
-    from . import core
-
-    link_text, perm = task
-    link = core.from_text(link_text)
-    mapping = dict(enumerate(perm)) if perm is not None else None
     found: dict[bytes, SimplicialComplex] = {}
-    stats = dict.fromkeys(_STAT_KEYS, 0)
-    _star_completions(link, found, stats, mapping)
-    payload = [(digest, K.facet_masks, K.labels) for digest, K in sorted(found.items())]
-    return payload, stats
+    stats = {"isomorph_rejections": 0}
+    search.run(_dedupe(MAX_N, found, stats))
+    for key in ("nodes", "completions", "degree_prunes", "key_prunes"):
+        stats[key] = getattr(search, key)
+    return found, stats
 
 
-def _run_census(
-    tasks: list[tuple[str, tuple[int, ...] | None]], threads: int
-) -> tuple[dict[bytes, SimplicialComplex], dict[str, int]]:
-    found: dict[bytes, SimplicialComplex] = {}
-    stats = dict.fromkeys(_STAT_KEYS, 0)
+def _census_9(sizes: Iterable[int], label_seed: int | None, threads: int) -> CensusResult:
+    """One pinned-link search per canonical 2-sphere on each number of
+    vertices in `sizes`, each link relabelled at random from `label_seed` if
+    given; the classes, deduplicated across searches and split into spheres
+    and non-spheres by integer homology."""
+    rng = random.Random(label_seed) if label_seed is not None else None
+    tasks = []
+    for m in sizes:
+        for link in _sphere_seeds(m):
+            perm = list(range(m))
+            if rng is not None:
+                rng.shuffle(perm)
+            tasks.append((link.facet_masks, tuple(perm)))
     if threads > 1:
         from multiprocessing import Pool
 
         with Pool(threads) as pool:
             results = pool.map(_census_task, tasks)
     else:
-        results = [_census_task(t) for t in tasks]
-    for payload, task_stats in results:
+        results = map(_census_task, tasks)
+    found: dict[bytes, SimplicialComplex] = {}
+    stats = dict.fromkeys(_STAT_KEYS, 0)
+    for task_found, task_stats in results:
         for key in stats:
             stats[key] += task_stats[key]
-        for digest, masks, labels in payload:
-            if digest in found:
-                stats["isomorph_rejections"] += 1
-            else:
-                found[digest] = SimplicialComplex(masks, labels)
-    return found, stats
+        # representatives are canonical, so a repeat found anew is equal
+        stats["isomorph_rejections"] += len(found.keys() & task_found.keys())
+        found.update(task_found)
+    ordered = [found[k] for k in sorted(found)]
+    spheres = sum(homology.homology(K) == homology.THREE_SPHERE_PROFILE for K in ordered)
+    counts = {"total": len(ordered), "sphere": spheres, "non_sphere": len(ordered) - spheres}
+    return CensusResult(ordered, counts, stats)
 
 
 def enumerate_neighbourly_9_manifolds(
@@ -468,34 +441,12 @@ def enumerate_neighbourly_9_manifolds(
     pinned-link searches over worker processes; results are merged and sorted,
     so counts and representatives do not depend on the worker count.
     """
-    import random
-
-    from .core import to_text
-
-    rng = random.Random(label_seed) if label_seed is not None else None
-    tasks = []
-    for link in _sphere_seeds(8):
-        perm = None
-        if rng is not None:
-            shuffled = list(range(8))
-            rng.shuffle(shuffled)
-            perm = tuple(shuffled)
-        tasks.append((to_text(link), perm))
-    found, stats = _run_census(tasks, threads)
-    ordered, counts = _classify(found)
-    return CensusResult(ordered, counts, stats)
+    return _census_9((8,), label_seed, threads)
 
 
-def enumerate_all_9_manifolds(confirm: bool = False, threads: int = 1) -> CensusResult:
+def enumerate_all_9_manifolds(threads: int = 1) -> CensusResult:
     """The full census of 9-vertex combinatorial 3-manifolds: one pinned-link
     search per 2-sphere on 4..8 vertices (about 10 s on one thread of a 2-core
-    machine).  Gated behind an explicit flag, as the costliest census.
+    machine).  `threads` works as for the neighbourly census.
     """
-    if not confirm:
-        raise PreconditionError("the full 9-vertex census runs only with confirm=True")
-    from .core import to_text
-
-    tasks = [(to_text(link), None) for n in range(4, 9) for link in _sphere_seeds(n)]
-    found, stats = _run_census(tasks, threads)
-    ordered, counts = _classify(found)
-    return CensusResult(ordered, counts, stats)
+    return _census_9(range(4, 9), None, threads)

@@ -6,9 +6,9 @@ triangle.  Its maximal cocliques, reduced to orbits under Aut(X), are the
 published case lists; the shipped data file maps each case label to its
 member sets so the toolkit can confirm the enumeration is complete.
 
-The facet-degree ledger carries, per facet of a neighbourly 9-vertex
-3-manifold, the sum of its six edge degrees; inclusion-exclusion makes that
-sum 28 plus the number of facets disjoint from it, so the 29/28 dichotomy is
+The 29/28 facet-degree dichotomy (eq1) sums, per facet of a neighbourly
+9-vertex 3-manifold, its six edge degrees; inclusion-exclusion makes that
+sum 28 plus the number of facets disjoint from it, so the dichotomy is
 equivalent to "at most one disjoint facet".
 """
 
@@ -20,7 +20,7 @@ from importlib import resources
 from itertools import combinations
 
 from . import recognition
-from .core import PreconditionError, SimplicialComplex, _label_key
+from .core import PreconditionError, SimplicialComplex, _label_key, _subfaces
 from .isomorphism import automorphism_group, normalize_object, orbits
 
 VertexSet = frozenset[str]
@@ -49,41 +49,12 @@ class CocliqueCensus:
     """
 
     by_size: dict[int, list[SetFamily]]
-    orbit_reps: dict[int, list[SetFamily]]
     covering_by_size: dict[int, list[SetFamily]]
     covering_orbit_reps: dict[int, list[SetFamily]]
     group_order: int
 
-    def total(self, size: int) -> int:
-        return len(self.by_size.get(size, []))
-
-    def orbit_count(self, size: int) -> int:
-        return len(self.orbit_reps.get(size, []))
-
     def covering_orbit_count(self, size: int) -> int:
         return len(self.covering_orbit_reps.get(size, []))
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    facet: VertexSet
-    edge_degree_sum: int
-    disjoint_partners: tuple[VertexSet, ...]
-
-
-@dataclass(frozen=True)
-class FacetDegreeLedger:
-    """Per-facet edge-degree sums of a neighbourly 9-vertex 3-manifold.
-
-    The counting identity (sum equals 28 plus the number of disjoint facets)
-    holds for every such manifold; the 29/28 dichotomy additionally needs
-    every facet to have at most one disjoint partner, which the complement
-    analysis guarantees for the non-sphere but not for spheres.
-    """
-
-    entries: tuple[LedgerEntry, ...]
-    identity_holds: bool
-    dichotomy_holds: bool
 
 
 @dataclass(frozen=True)
@@ -192,10 +163,9 @@ def covers_all_triangles(X: SimplicialComplex, family) -> bool:
     return covered == triangles
 
 
-def coclique_census(
-    X: SimplicialComplex, sizes: tuple[int, ...] | None = None
-) -> CocliqueCensus:
-    """Maximal cocliques of the candidate graph, reduced to Aut(X)-orbits."""
+def coclique_census(X: SimplicialComplex) -> CocliqueCensus:
+    """Maximal cocliques of the candidate graph; the covering ones reduced to
+    Aut(X)-orbits."""
     if X.vertex_count < 5 or X.vertex_count > 7:
         raise PreconditionError("coclique census covers 2-spheres on 5..7 vertices")
     graph = candidate_graph(X)
@@ -207,23 +177,16 @@ def coclique_census(
     by_size: dict[int, list[SetFamily]] = {}
     for fam in families:
         by_size.setdefault(len(fam), []).append(fam)
-    if sizes is not None:
-        by_size = {s: fams for s, fams in by_size.items() if s in sizes}
     covering_by_size = {
         s: [f for f in fams if covers_all_triangles(X, f)]
         for s, fams in by_size.items()
     }
     covering_by_size = {s: fams for s, fams in covering_by_size.items() if fams}
-
-    def reduce(table: dict[int, list[SetFamily]]) -> dict[int, list[SetFamily]]:
-        return {
-            s: [orb.representative for orb in orbits(group, fams)]
-            for s, fams in table.items()
-        }
-
-    return CocliqueCensus(
-        by_size, reduce(by_size), covering_by_size, reduce(covering_by_size), group.order
-    )
+    covering_orbit_reps = {
+        s: [orb.representative for orb in orbits(group, fams)]
+        for s, fams in covering_by_size.items()
+    }
+    return CocliqueCensus(by_size, covering_by_size, covering_orbit_reps, group.order)
 
 
 # -- facet degree ledger and the 28/29 dichotomy -------------------------------
@@ -238,64 +201,31 @@ def _require_neighbourly_9(K: SimplicialComplex, what: str) -> None:
         raise PreconditionError(f"{what} expects a neighbourly complex")
 
 
-def facet_degree_ledger(K: SimplicialComplex) -> FacetDegreeLedger:
-    _require_neighbourly_9(K, "the facet-degree ledger")
-    entries = []
-    identity = True
-    dichotomy = True
-    for fm in K.facet_masks:
-        facet = K.face_labels(fm)
-        total = sum(K.degree(pair) for pair in combinations(sorted(facet), 2))
-        partners = tuple(
-            K.face_labels(gm) for gm in K.facet_masks if gm & fm == 0
-        )
-        entries.append(LedgerEntry(facet, total, partners))
-        if total != 28 + len(partners):
-            identity = False
-        if len(partners) > 1:
-            dichotomy = False
-    return FacetDegreeLedger(tuple(entries), identity, identity and dichotomy)
-
-
 def verify_facet_degree_dichotomy(K: SimplicialComplex) -> LemmaReport:
-    ledger = facet_degree_ledger(K)
+    """Each facet's six edge degrees sum to 29 when it has one disjoint
+    facet and to 28 when it has none.  An edge's degree is the size of the
+    union of its facets, less 2: one `stars` pass gives them all."""
+    _require_neighbourly_9(K, "eq1")
+    union = K.stars(2)[1]
     violations = []
     sums = {29: 0, 28: 0}
-    for entry in ledger.entries:
-        label = _sorted_labels(entry.facet)
-        if entry.disjoint_partners:
-            if entry.edge_degree_sum != 29 or len(entry.disjoint_partners) != 1:
-                violations.append(
-                    f"facet {label}: sum {entry.edge_degree_sum}, "
-                    f"{len(entry.disjoint_partners)} disjoint partners"
-                )
+    for fm in K.facet_masks:
+        total = sum(union[e].bit_count() - 2 for e in _subfaces(fm)[2])
+        partners = sum(1 for gm in K.facet_masks if gm & fm == 0)
+        label = _sorted_labels(K.face_labels(fm))
+        if partners:
+            if total != 29 or partners != 1:
+                violations.append(f"facet {label}: sum {total}, {partners} disjoint partners")
             else:
                 sums[29] += 1
-        elif entry.edge_degree_sum != 28:
-            violations.append(f"facet {label}: sum {entry.edge_degree_sum}, no partner")
+        elif total != 28:
+            violations.append(f"facet {label}: sum {total}, no partner")
         else:
             sums[28] += 1
     return LemmaReport(
         "eq1",
         not violations,
         {"facets_with_partner": sums[29], "facets_without_partner": sums[28]},
-        tuple(violations),
-    )
-
-
-def degree_equation_check(K: SimplicialComplex) -> LemmaReport:
-    """Edge-degree histogram arithmetic: counts sum to 36, weighted sum to 162."""
-    _require_neighbourly_9(K, "the degree equations")
-    hist = K.edge_degree_histogram()
-    total = sum(hist.values())
-    weighted = sum(d * c for d, c in hist.items())
-    violations = []
-    if total != 36:
-        violations.append(f"edge count {total} != 36")
-    if weighted != 162:
-        violations.append(f"degree-weighted count {weighted} != 162")
-    return LemmaReport(
-        "degree-equations", not violations, {"histogram": dict(sorted(hist.items()))},
         tuple(violations),
     )
 
@@ -366,11 +296,7 @@ def verify_disjoint_facet_links(K: SimplicialComplex) -> LemmaReport:
     violations = []
     pairs = disjoint_facet_pairs(K)
     for sigma1, sigma2 in pairs:
-        leftover = set(K.labels) - set(sigma1) - set(sigma2)
-        if len(leftover) != 1:
-            violations.append(f"pair {_sorted_labels(sigma1)} | {_sorted_labels(sigma2)} leaves {len(leftover)} vertices")
-            continue
-        x = leftover.pop()
+        (x,) = set(K.labels) - sigma1 - sigma2  # two disjoint facets leave one vertex
         link = K.link([x])
         for sigma in (sigma1, sigma2):
             induced = link.induced_subcomplex(sigma)
@@ -390,16 +316,17 @@ class GoodVertex:
 
 
 def good_vertices(K: SimplicialComplex) -> list[GoodVertex]:
-    """Vertices x whose complement vertex set splits into two disjoint facets."""
-    if K.vertex_count != 9 or K.dim != 3:
-        raise PreconditionError("good-vertex scan expects a 9-vertex 3-complex")
-    if not recognition.is_combinatorial_3_manifold(K):
-        raise PreconditionError("good-vertex scan expects a combinatorial 3-manifold")
+    """Vertices x whose complement vertex set splits into two disjoint facets.
+
+    Two disjoint facets of a pure 9-vertex 3-complex leave exactly one
+    vertex, so every disjoint facet pair is a partition of one good vertex.
+    """
+    if K.vertex_count != 9 or K.dim != 3 or not K.is_pure:
+        raise PreconditionError("good-vertex scan expects a pure 9-vertex 3-complex")
     by_vertex: dict[str, list[tuple[VertexSet, VertexSet]]] = {}
     for sigma1, sigma2 in disjoint_facet_pairs(K):
-        leftover = set(K.labels) - set(sigma1) - set(sigma2)
-        if len(leftover) == 1:
-            by_vertex.setdefault(leftover.pop(), []).append((sigma1, sigma2))
+        (x,) = set(K.labels) - sigma1 - sigma2
+        by_vertex.setdefault(x, []).append((sigma1, sigma2))
     return [
         GoodVertex(v, tuple(by_vertex[v]))
         for v in sorted(by_vertex, key=_label_key)
@@ -407,8 +334,9 @@ def good_vertices(K: SimplicialComplex) -> list[GoodVertex]:
 
 
 def verify_good_vertex_links(K: SimplicialComplex) -> LemmaReport:
-    """Every good vertex has link isomorphic to the catalog sphere calS,
-    and good-vertex partitions biject with disjoint facet pairs."""
+    """Every good vertex has link isomorphic to the catalog sphere calS.
+    Good-vertex partitions biject with disjoint facet pairs by construction
+    (see `good_vertices`)."""
     from .constructions import get_complex
     from .isomorphism import are_isomorphic
 
@@ -416,7 +344,6 @@ def verify_good_vertex_links(K: SimplicialComplex) -> LemmaReport:
     cal_s = get_complex("calS")
     cal_t = get_complex("calT")
     goods = good_vertices(K)
-    pairs = disjoint_facet_pairs(K)
     violations = []
     for gv in goods:
         link = K.link([gv.vertex])
@@ -425,17 +352,12 @@ def verify_good_vertex_links(K: SimplicialComplex) -> LemmaReport:
             iso_t, _ = are_isomorphic(link, cal_t)
             shape = "calT" if iso_t else "neither calS nor calT"
             violations.append(f"link of good vertex {gv.vertex} is {shape}")
-    partition_count = sum(len(gv.partitions) for gv in goods)
-    if partition_count != len(pairs):
-        violations.append(
-            f"{partition_count} good-vertex partitions vs {len(pairs)} disjoint pairs"
-        )
     return LemmaReport(
         "lemma4.5",
         not violations,
         {
             "good_vertices": [gv.vertex for gv in goods],
-            "disjoint_pairs": len(pairs),
+            "disjoint_pairs": sum(len(gv.partitions) for gv in goods),
         },
         tuple(violations),
     )

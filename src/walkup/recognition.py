@@ -187,15 +187,6 @@ def non_neighbourly_witness(K: SimplicialComplex) -> frozenset[str] | None:
     return None
 
 
-def singular_vertices(K: SimplicialComplex) -> list[str]:
-    """Vertices of a 3-pseudomanifold whose links are not 2-spheres."""
-    if K.dim != 3:
-        raise PreconditionError("singular vertex scan needs dimension 3")
-    if not is_pseudomanifold(K):
-        raise PreconditionError("singular vertex scan needs a pseudomanifold")
-    return list(_singular(K))
-
-
 # -- collapsibility -----------------------------------------------------------
 
 COLLAPSE_VERTEX_GUARDRAIL = 8

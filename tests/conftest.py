@@ -47,7 +47,7 @@ def full_census():
     read its result."""
     from walkup.enumeration import enumerate_all_9_manifolds
 
-    return enumerate_all_9_manifolds(confirm=True)
+    return enumerate_all_9_manifolds()
 
 
 @pytest.fixture(scope="session")

@@ -18,16 +18,23 @@ from walkup.cli import build_parser, run
 _PACKAGE_ROOT = str(Path(walkup.__file__).resolve().parent.parent)
 
 
-def _invoke(*argv: str, stdin: str | None = None):
-    """Run `python -m walkup ARGV` in a real process, piping `stdin` in."""
+def _invoke_python(*argv: str, stdin: str | bytes | None = None):
+    """Run `python ARGV` in a real process that imports the code under test,
+    piping `stdin` in; the outputs come back as text."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
     )
-    return subprocess.run(
-        [sys.executable, "-m", "walkup", *argv],
-        capture_output=True, text=True, input=stdin, env=env,
+    data = stdin.encode() if isinstance(stdin, str) else stdin
+    done = subprocess.run([sys.executable, *argv], capture_output=True, input=data, env=env)
+    return subprocess.CompletedProcess(
+        done.args, done.returncode, done.stdout.decode(), done.stderr.decode()
     )
+
+
+def _invoke(*argv: str, stdin: str | bytes | None = None):
+    """Run `python -m walkup ARGV` in a real process, piping `stdin` in."""
+    return _invoke_python("-m", "walkup", *argv, stdin=stdin)
 
 
 def test_run_info_k39():
@@ -49,6 +56,67 @@ def test_malformed_walkup_threads_exits_1(monkeypatch):
     assert run(["info", "k39", "--threads", "1"]).exit_code == 0
     monkeypatch.setenv("WALKUP_THREADS", "3")
     assert build_parser().parse_args(["info", "k39"]).threads == 3
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_exits_1(monkeypatch, value):
+    outcome = run(["enumerate", "spheres2", "--n", "5", "--threads", value])
+    assert outcome.exit_code == 1
+    assert "--threads" in outcome.report["error"] and "at least 1" in outcome.report["error"]
+    assert outcome.text.startswith("error: ") and "usage:" in outcome.text
+    monkeypatch.setenv("WALKUP_THREADS", value)
+    assert run(["info", "k39"]).exit_code == 1
+
+
+_MALFORMED = {
+    "truncated JSON": b"{",
+    "facets not an array": b'{"facets": 5}',
+    "facet not an array": b'{"facets": [5]}',
+    "array label": b'{"facets": [[[1], 2]]}',
+    "null label": b'{"facets": [[null, 2]]}',
+    "top-level array": b"[[null, 2]]",
+    "not UTF-8": b"\xff\xfe1 2 3\n",
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_complex_input_exits_1(tmp_path, case):
+    """Each malformed file exits 1 with a precondition message and a
+    schema-valid report, never with a traceback."""
+    import jsonschema
+    from importlib import resources
+
+    schema = json.loads(
+        resources.files("walkup").joinpath("data", "report.schema.json").read_text()
+    )
+    path = tmp_path / "input"
+    if _MALFORMED[case] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(_MALFORMED[case])
+    outcome = run(["--json", "info", str(path)])
+    assert outcome.exit_code == 1 and outcome.json_requested
+    jsonschema.validate(outcome.report, schema)
+    assert outcome.report["command"] == "info" and outcome.report["error"]
+    if _MALFORMED[case] is not None:
+        piped = _invoke("info", "-", stdin=_MALFORMED[case])
+        assert piped.returncode == 1 and piped.stdout.startswith("error: ")
+        assert "Traceback" not in piped.stderr
+
+
+def test_bistellar_imports_only_what_it_needs():
+    """Loading `walkup.bistellar`, the reduction's entry point, imports no
+    other walkup module: each one costs milliseconds of start-up."""
+    probe = _invoke_python(
+        "-c",
+        "import sys, walkup.bistellar; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'walkup')))"
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == [
+        "walkup", "walkup.bistellar", "walkup.constructions", "walkup.core", "walkup.recognition",
+    ]
 
 
 def test_unknown_subcommand_exits_1():

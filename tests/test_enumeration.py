@@ -1,15 +1,12 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from walkup import homology, lemmas, recognition
 from walkup.core import PreconditionError, SimplicialComplex, _iter_bits, from_facets
-from walkup.enumeration import (
-    _ClosureSearch,
-    enumerate_neighbourly_9_manifolds,
-    enumerate_all_9_manifolds,
-    enumerate_two_spheres,
-)
+from walkup.enumeration import _ClosureSearch, enumerate_neighbourly_9_manifolds, enumerate_two_spheres
 from walkup.isomorphism import canonical_form
 
 KNOWN_SPHERE_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14}
@@ -95,7 +92,8 @@ def test_eight_vertex_census_distinct_without_canonical_forms():
 
     def invariant(K):
         degs = tuple(sorted(K.degree([v]) for v in K.labels))
-        return degs, tuple(sorted(K.edge_degree_histogram().items()))
+        # an edge's degree: the vertices of the union of its facets, less 2
+        return degs, tuple(sorted(u.bit_count() - 2 for u in K.stars(2)[1].values()))
 
     groups: dict[tuple, list[int]] = {}
     for i, K in enumerate(census):
@@ -310,11 +308,6 @@ def test_closed_neighbour_word_follows_try_add_and_undo(seed):
     assert accepted > 30 and undone > 30
 
 
-def test_full_census_requires_opt_in():
-    with pytest.raises(PreconditionError):
-        enumerate_all_9_manifolds()
-
-
 def _link_type(L: SimplicialComplex) -> tuple[int, tuple[int, ...]]:
     """The link type of a vertex of a 9-vertex 3-manifold, from its link L
     alone: L's triangle count and the sorted triangle counts at the vertices
@@ -419,6 +412,16 @@ def test_neighbourly_census(k39, neighbourly_census):
 
 
 @pytest.mark.slow
+def test_neighbourly_census_worker_pool(neighbourly_census):
+    """Two worker processes give the serial census's counts, stats and
+    sorted representatives."""
+    pooled = enumerate_neighbourly_9_manifolds(threads=2)
+    assert pooled.counts == neighbourly_census.counts
+    assert pooled.stats == neighbourly_census.stats
+    assert pooled.complexes == neighbourly_census.complexes
+
+
+@pytest.mark.slow
 def test_neighbourly_census_base_order_invariance(neighbourly_census):
     base = neighbourly_census
     shuffled = enumerate_neighbourly_9_manifolds(label_seed=12345)
@@ -433,16 +436,22 @@ def test_neighbourly_census_base_order_invariance(neighbourly_census):
 
 @pytest.mark.slow
 def test_neighbourly_census_ledger_identity(k39, neighbourly_census):
-    """The inclusion-exclusion identity holds for every census member; the
-    full 29/28 dichotomy singles out the non-sphere (spheres may have facets
-    with several disjoint partners or collapsible complements)."""
+    """The inclusion-exclusion identity (a facet's six edge degrees sum to 28
+    plus the number of facets disjoint from it) holds for every census
+    member; the 29/28 dichotomy together with the complement dichotomy
+    singles out the non-sphere (spheres may have facets with several disjoint
+    partners or collapsible complements)."""
     result = neighbourly_census
     dichotomy_passers = []
     for K in result.complexes:
-        ledger = lemmas.facet_degree_ledger(K)
-        assert ledger.identity_holds
-        assert lemmas.degree_equation_check(K).ok
-        if ledger.dichotomy_holds and lemmas.verify_complement_dichotomy(K).ok:
+        assert K.f_vector() == (9, 36, 54, 27)  # 36 edges, 6 * 27 = 162 edge-facet incidences
+        for facet in K.facets():
+            total = sum(K.degree(e) for e in combinations(facet, 2))
+            assert total == 28 + sum(1 for other in K.facets() if facet.isdisjoint(other))
+        if (
+            lemmas.verify_facet_degree_dichotomy(K).ok
+            and lemmas.verify_complement_dichotomy(K).ok
+        ):
             dichotomy_passers.append(K)
     assert [canonical_form(K).bytes for K in dichotomy_passers] == [
         canonical_form(k39).bytes

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -13,8 +15,6 @@ from walkup.lemmas import (
     candidate_graph,
     coclique_case_check,
     coclique_census,
-    degree_equation_check,
-    facet_degree_ledger,
     good_vertices,
     load_coclique_cases,
     verify_complement_dichotomy,
@@ -162,24 +162,31 @@ def test_s2_unique_global_coclique(catalog):
 
 
 def test_facet_degree_ledger(k39):
-    ledger = facet_degree_ledger(k39)
-    assert ledger.identity_holds and ledger.dichotomy_holds
-    with_partner = [e for e in ledger.entries if e.disjoint_partners]
-    assert len(with_partner) == 18
-    assert all(e.edge_degree_sum == 29 for e in with_partner)
-    rest = [e for e in ledger.entries if not e.disjoint_partners]
-    assert len(rest) == 9
-    assert all(e.edge_degree_sum == 28 for e in rest)
-
+    """18 facets of k39 have one disjoint partner and sum 29, the other 9
+    none and sum 28.  A neighbourly sphere breaks the dichotomy, and each
+    violation still obeys the identity sum = 28 + partners."""
     report = verify_facet_degree_dichotomy(k39)
-    assert report.ok
+    assert report.ok and report.violations == ()
     assert report.facts == {"facets_with_partner": 18, "facets_without_partner": 9}
+
+    sphere, _ = bistellar.neighbourly_reduction(bistellar.random_three_sphere(0))
+    report = verify_facet_degree_dichotomy(sphere)
+    assert not report.ok
+    assert report.facts == {"facets_with_partner": 11, "facets_without_partner": 2}
+    assert len(report.violations) == 14
+    for v in report.violations:
+        total, partners = map(int, re.fullmatch(
+            r"facet [0-9,]+: sum (\d+), (\d+) disjoint partners", v
+        ).groups())
+        assert total == 28 + partners and partners > 1
 
 
 def test_degree_equations(k39):
-    report = degree_equation_check(k39)
-    assert report.ok
-    assert report.facts["histogram"] == {3: 9, 4: 9, 5: 9, 6: 9}
+    """k39's edge degrees: 36 edges, 6 * 27 = 162 edge-facet incidences."""
+    hist = Counter(u.bit_count() - 2 for u in k39.stars(2)[1].values())
+    assert hist == {3: 9, 4: 9, 5: 9, 6: 9}
+    assert sum(hist.values()) == 36 == k39.f_vector()[1]
+    assert sum(d * c for d, c in hist.items()) == 162 == 6 * k39.f_vector()[3]
 
 
 def test_all_28_ledger_arithmetic():
@@ -207,9 +214,9 @@ def test_all_28_ledger_arithmetic():
 
 def test_ledger_preconditions(m10, c37):
     with pytest.raises(PreconditionError):
-        facet_degree_ledger(m10)  # ten vertices
+        verify_facet_degree_dichotomy(m10)  # ten vertices
     with pytest.raises(PreconditionError):
-        facet_degree_ledger(c37)  # seven vertices
+        verify_facet_degree_dichotomy(c37)  # seven vertices
 
 
 def test_complement_dichotomy(k39):
