@@ -7,27 +7,39 @@ on beta's vertices.  Applying the move replaces every facet through alpha by
 0 < i < dim are proper and leave the vertex count unchanged; a dim-move
 deletes a vertex and starring a vertex in a facet is its inverse.
 
-Where moves are validated: the public entry points check their input once
-per call (`removable_faces` and `proper_moves` need a pseudomanifold,
+Validation: the public entry points check their input once per call
+(`removable_faces` and `proper_moves` need a pseudomanifold,
 `raise_min_degree` and `neighbourly_reduction` a combinatorial 3-manifold),
-and `apply_move` re-classifies the move it is given and rejects a stale one.
-Where they are not: inside `random_three_sphere` and `neighbourly_reduction`
-a move is applied right after it was detected on the same complex, so it is
-applied unchecked, and nothing is re-checked after it, as bistellar moves
-preserve the PL type.  `random_three_sphere` checks nothing at all: its
-complexes are spheres by construction.  Detection finds every move of the
-requested types in one pass over the facet masks.
+and `apply_move` rejects a stale move.  Inside `random_three_sphere` and
+`neighbourly_reduction` each move is applied unchecked right after it was
+detected, and nothing is re-checked, as moves preserve the PL type.
+
+Detection scans a star table (`_StarTable`): the facet set and, for each
+face size k = 1..d, a map from each k-vertex face to the set of facets
+through it.  Adding or removing a facet updates the entries of its
+subfaces, and an emptied entry is dropped, so the keys are the faces.
+alpha is removable for an i-move exactly when i + 1 facets pass through it,
+beta (their union less alpha) has i + 1 vertices, and beta is not a key of
+the (i+1)-vertex map (for i = d, not a facet): the i + 1 facets less alpha
+are i + 1 distinct i-subsets of beta, so all of them, and lk(alpha) is the
+boundary of the simplex on beta.  The walks of `random_three_sphere` and
+`neighbourly_reduction` keep one table, updated in place by each move or
+star step, and build their result once; the other entry points build a
+table from their complex.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from . import recognition
-from .core import Face, PreconditionError, SimplicialComplex, _bits, _label_key, from_facets
+from .core import (
+    Face, PreconditionError, SimplicialComplex, _bits, _label_key, _subfaces, from_facets,
+)
 
 
 class LemmaViolation(RuntimeError):
@@ -95,27 +107,74 @@ def removable_faces(K: SimplicialComplex, i: int) -> list[BistellarMove]:
     return _as_moves(K, _detect(K, [i]))
 
 
-def _detect(K: SimplicialComplex, types: Iterable[int]) -> list[tuple[int, int, int]]:
-    """(alpha, beta, i) masks of the moves of the given types on the pure
-    pseudomanifold K, in `BistellarMove.sort_key` order.
+class _StarTable:
+    """The facets of a d-complex and, for k = 1..d, `stars[k]`: each k-vertex
+    face mask with the set of facets through it, updated in place (`stars[0]`
+    stays empty)."""
 
-    One pass over the facets per type counts the facets through each
-    candidate alpha and unites them.  alpha is removable for an i-move
-    exactly when i + 1 facets pass through it, beta = union - alpha has
-    i + 1 vertices and beta is not a face: i + 1 distinct i-subsets of an
-    (i+1)-set are all of its facets, so lk(alpha) is the boundary of the
-    simplex on beta.
-    """
-    found = []
-    for i in types:
-        count, union = K.stars(K.dim - i + 1)
-        for a, c in count.items():
-            beta = union[a] & ~a
-            if c == i + 1 == beta.bit_count() and not K.has_face_mask(beta):
-                found.append((a, beta, i))
-    # ids follow label order, so ascending bits sort as the labels do
-    found.sort(key=lambda m: (_bits(m[0]), _bits(m[1])))
-    return found
+    __slots__ = ("dim", "facets", "stars")
+
+    def __init__(self, facet_masks: Iterable[int], dim: int):
+        self.dim, self.facets, self.stars = dim, set(), [{} for _ in range(dim + 1)]
+        for f in facet_masks:
+            self.add(f)
+
+    def add(self, f: int) -> None:
+        self.facets.add(f)
+        for star, faces in zip(self.stars[1:], _subfaces(f)[1:]):
+            for a in faces:
+                through = star.get(a)
+                if through is None:
+                    star[a] = {f}
+                else:
+                    through.add(f)
+
+    def remove(self, f: int) -> None:
+        self.facets.remove(f)
+        for star, faces in zip(self.stars[1:], _subfaces(f)[1:]):
+            for a in faces:
+                through = star[a]
+                through.remove(f)
+                if not through:
+                    del star[a]
+
+    def moves(self, types: Iterable[int]) -> list[tuple[int, int, int]]:
+        """(alpha, beta, i) for every i-move of the given types, sorted as
+        `BistellarMove.sort_key` sorts; see the module docstring."""
+        found, d = [], self.dim
+        for i in types:
+            # the (i+1)-vertex faces: beta is a face exactly when it is a key
+            faces = self.stars[i + 1] if i < d else self.facets
+            for a, through in self.stars[d - i + 1].items():
+                if len(through) == i + 1:
+                    union = 0
+                    for f in through:
+                        union |= f
+                    beta = union & ~a
+                    if beta.bit_count() == i + 1 and beta not in faces:
+                        found.append((a, beta, i))
+        # ids follow label order, so ascending bits sort as the labels do
+        found.sort(key=lambda m: (_bits(m[0]), _bits(m[1])))
+        return found
+
+    def apply(self, alpha: int, beta: int) -> None:
+        """The valid move (alpha, beta), without renumbering; a facet alpha
+        and a new vertex beta make a star step."""
+        k = alpha.bit_count()
+        for f in list(self.stars[k][alpha]) if k <= self.dim else [alpha]:
+            self.remove(f)
+        for b in _bits(alpha):
+            self.add(beta | (alpha ^ (1 << b)))
+
+    def degrees(self) -> list[int]:
+        """Link vertex counts by id: the size of the union of a vertex's facets, less 1."""
+        vertex = self.stars[1]
+        return [reduce(or_, vertex[1 << b]).bit_count() - 1 for b in range(len(vertex))]
+
+
+def _detect(K: SimplicialComplex, types: Iterable[int]) -> list[tuple[int, int, int]]:
+    """`_StarTable.moves` on a table built from the pure pseudomanifold K."""
+    return _StarTable(K.facet_masks, K.dim).moves(types)
 
 
 def _as_moves(K: SimplicialComplex, found: list[tuple[int, int, int]]) -> list[BistellarMove]:
@@ -162,8 +221,7 @@ def star_vertex(K: SimplicialComplex, facet: Face, label) -> SimplicialComplex:
 
 def vertex_degrees(K: SimplicialComplex) -> dict[str, int]:
     """Link vertex counts: the popcount of the union of a vertex's facets, less 1."""
-    union = K.stars(1)[1]
-    return {v: union[1 << b].bit_count() - 1 for b, v in enumerate(K.labels)}
+    return dict(zip(K.labels, _StarTable(K.facet_masks, max(K.dim, 1)).degrees()))
 
 
 def degree_raising_moves(K: SimplicialComplex, u) -> list[BistellarMove]:
@@ -188,22 +246,19 @@ def raise_min_degree(K: SimplicialComplex) -> BistellarMove:
         raise PreconditionError(f"degree raising is guaranteed only for n <= 9, got {n}")
     if not recognition.is_combinatorial_3_manifold(K):
         raise PreconditionError("degree raising needs a combinatorial 3-manifold")
-    return _as_moves(K, [_raise_min_degree(K)])[0]
+    return _as_moves(K, [_raise_min_degree(_StarTable(K.facet_masks, 3), K.labels)])[0]
 
 
-def _raise_min_degree(K: SimplicialComplex) -> tuple[int, int, int]:
-    n = K.vertex_count
-    degrees = vertex_degrees(K)
-    k = min(degrees.values())
+def _raise_min_degree(table: _StarTable, labels: tuple[str, ...]) -> tuple[int, int, int]:
+    degrees = table.degrees()
+    k, n = min(degrees), len(labels)
     if k > n - 2:
         raise PreconditionError(f"minimum degree {k} exceeds n-2 = {n - 2} (already neighbourly)")
-    u = min((v for v, dv in degrees.items() if dv == k), key=_label_key)
-    um = K.mask_of([u])
-    moves = [m for m in _detect(K, [1]) if m[1] & um]
+    um = 1 << degrees.index(k)  # ids follow label order
+    moves = [m for m in table.moves([1]) if m[1] & um]
     if not moves:
-        raise LemmaViolation(
-            f"no 1-move raises deg({u}) = {k} on an n={n} combinatorial 3-manifold"
-        )
+        u = labels[um.bit_length() - 1]
+        raise LemmaViolation(f"no 1-move raises deg({u}) = {k} on an n={n} combinatorial 3-manifold")
     return moves[0]
 
 
@@ -219,13 +274,12 @@ def neighbourly_reduction(
         raise PreconditionError("neighbourly reduction expects a 9-vertex 3-complex")
     if not recognition.is_combinatorial_3_manifold(K):
         raise PreconditionError("neighbourly reduction needs a combinatorial 3-manifold")
-    moves: list[BistellarMove] = []
-    current = K
-    for _ in range(36 - len(K.faces_masks(1))):
-        move = _raise_min_degree(current)
-        moves += _as_moves(current, [move])
-        current = _apply(current, move[0], move[1])
-    return current, moves
+    table = _StarTable(K.facet_masks, 3)
+    found = []
+    for _ in range(36 - len(table.stars[2])):
+        found.append(_raise_min_degree(table, K.labels))
+        table.apply(*found[-1][:2])
+    return SimplicialComplex(tuple(sorted(table.facets)), K.labels), _as_moves(K, found)
 
 
 def proper_moves(K: SimplicialComplex) -> list[BistellarMove]:
@@ -251,26 +305,22 @@ def random_three_sphere(
     if vertices < 5 or vertices > 16:
         raise PreconditionError("vertex target out of range 5..16")
     rng = random.Random(seed)
-    K = from_facets(combinations([str(i) for i in range(1, 6)], 4))
+    table = _StarTable([0b11111 ^ (1 << b) for b in range(5)], 3)
+    labels = tuple(str(i) for i in range(1, 6))
 
-    def random_proper_step(current: SimplicialComplex) -> SimplicialComplex:
-        moves = _detect(current, range(1, current.dim))
-        if not moves:
-            return current
-        alpha, beta, _ = rng.choice(moves)
-        return _apply(current, alpha, beta)
+    def random_proper_step() -> None:
+        moves = table.moves([1, 2])
+        if moves:
+            alpha, beta, _ = rng.choice(moves)
+            table.apply(alpha, beta)
 
-    while K.vertex_count < vertices:
+    while len(labels) < vertices:
         for _ in range(rng.randrange(0, 3)):
-            K = random_proper_step(K)
+            random_proper_step()
         # star a random facet from vertex n, labelled n + 1: the labels stay
         # 1..n+1 in id order, as `star_vertex` would number them
-        facet = rng.choice(K.facet_masks)
-        n = K.vertex_count
-        masks = [f for f in K.facet_masks if f != facet]
-        masks += [(facet ^ (1 << b)) | (1 << n) for b in _bits(facet)]
-        masks.sort()
-        K = SimplicialComplex(tuple(masks), K.labels + (str(n + 1),))
+        table.apply(rng.choice(sorted(table.facets)), 1 << len(labels))
+        labels += (str(len(labels) + 1),)
     for _ in range(churn):
-        K = random_proper_step(K)
-    return K
+        random_proper_step()
+    return SimplicialComplex(tuple(sorted(table.facets)), labels)

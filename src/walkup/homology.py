@@ -1,9 +1,8 @@
 """Integer simplicial homology via Smith normal form.
 
-Boundary matrices are exact integer matrices with faces sorted by bitmask
-value and signs from the ascending-vertex orientation.  `homology` never
-builds the edge boundary: its rank is n minus the number of components, and
-H0 is free.  For the boundaries of 2-faces and 3-faces it reduces each
+Face boundaries carry signs from the ascending-vertex orientation.
+`homology` never builds the edge boundary: its rank is n minus the number
+of components, and H0 is free.  For the boundaries of 2-faces and 3-faces it reduces each
 face's signed boundary (cached per face mask, keyed by the masks of its
 boundary faces) as it arrives against a table mapping each pivot column to
 the row holding 1 there (Dumas, Heckenbach, Saunders and Welker, Computing
@@ -54,20 +53,6 @@ def _face_boundary(face: int) -> tuple[tuple[int, int], ...]:
     """The signed boundary of a face mask, as (boundary face mask, sign)
     pairs in ascending vertex order."""
     return tuple((face ^ (1 << b), -1 if j % 2 else 1) for j, b in enumerate(_bits(face)))
-
-
-def _boundary_columns(K: SimplicialComplex, i: int) -> list[dict[int, int]]:
-    """The columns of `boundary_matrix(K, i)`, each as {row: entry}."""
-    if i < 1 or i > K.dim:
-        raise PreconditionError(f"boundary dimension {i} out of range 1..{K.dim}")
-    row_index = {m: r for r, m in enumerate(K.faces_masks(i - 1))}
-    return [{row_index[m]: x for m, x in _face_boundary(cm)} for cm in K.faces_masks(i)]
-
-
-def boundary_matrix(K: SimplicialComplex, i: int) -> Matrix:
-    """The signed boundary from i-chains to (i-1)-chains."""
-    cols = _boundary_columns(K, i)
-    return [[col.get(r, 0) for col in cols] for r in range(len(K.faces_masks(i - 1)))]
 
 
 def _pivot(a: Matrix, t: int) -> bool:

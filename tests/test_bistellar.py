@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -19,7 +20,7 @@ from walkup.bistellar import (
     removable_faces,
     star_vertex,
 )
-from walkup.core import PreconditionError, from_facets, to_text
+from walkup.core import PreconditionError, SimplicialComplex, from_facets, to_text
 from walkup.isomorphism import canonical_form
 
 
@@ -287,6 +288,92 @@ def test_applied_moves_match_the_reference(kernel_pool):
             added = {move.beta | (move.alpha - {v}) for v in move.alpha}
             assert {frozenset(f) for f in after.facets()} == kept | added, (name, move)
             assert after.labels == tuple(sorted(after.labels, key=bistellar._label_key))
+
+
+def _replay_reduction(F, moves):
+    """Replay degree-raising 1-moves on the frozenset facets F, checking each
+    one from scratch: the link of alpha is the boundary of the simplex on
+    beta, beta is a non-edge at a vertex of least degree, and no vertex
+    degree falls.  Returns the facets at the end."""
+    for m in moves:
+        alpha, beta = m.alpha, m.beta
+        assert m.move_type == 1 and len(beta) == 2
+        assert {f - alpha for f in F if alpha < f} == {beta - {v} for v in beta}
+        assert not any(beta <= f for f in F)
+        degrees = _ref_degrees(F)
+        assert min(degrees[v] for v in beta) == min(degrees.values())
+        F = {f for f in F if not alpha <= f} | {beta | (alpha - {v}) for v in alpha}
+        assert all(d <= _ref_degrees(F)[v] for v, d in degrees.items())
+    return F
+
+
+@pytest.mark.slow
+@pytest.mark.full_census
+def test_every_census_class_reduces_to_a_neighbourly_class(k39, full_census, neighbourly_census):
+    """The paper's reduction theorem on the whole 9-vertex census: each
+    non-neighbourly class reaches a neighbourly one by 36 - f_1 proper
+    1-moves, and the endpoint is a class of the neighbourly census."""
+    from walkup.isomorphism import automorphism_group
+
+    neighbourly = {canonical_form(K).bytes: K for K in neighbourly_census.complexes}
+    move_counts = Counter()
+    reached = set()
+    for K in full_census.complexes:
+        if recognition.is_neighbourly(K):
+            continue
+        reduced, moves = neighbourly_reduction(K)
+        assert len(moves) == 36 - len(K.faces_masks(1))
+        F = _replay_reduction({frozenset(f) for f in K.facets()}, moves)
+        assert F == {frozenset(f) for f in reduced.facets()}
+        reached.add(canonical_form(reduced).bytes)
+        move_counts[len(moves)] += 1
+    assert reached <= neighbourly.keys()
+    assert [move_counts[k] for k in range(1, 11)] == [121, 209, 231, 223, 175, 128, 84, 45, 23, 7]
+    assert move_counts.total() == 1246
+    # never reached: k39 and one sphere with 18 automorphisms
+    missed = neighbourly.keys() - reached
+    assert len(missed) == 2 and canonical_form(k39).bytes in missed
+    (sphere,) = missed - {canonical_form(k39).bytes}
+    assert automorphism_group(neighbourly[sphere]).order == 18
+
+
+# -- the star table kept across a walk -----------------------------------------
+
+
+def _subsets(mask, k):
+    return {sum(c) for c in combinations([1 << b for b in range(16) if mask >> b & 1], k)}
+
+
+@pytest.mark.parametrize("vertices", [9, 12, 16])
+def test_star_table_matches_a_rebuild_after_every_step(vertices):
+    """Seeded walks of star steps, 1-moves and 2-moves: after each step the
+    table kept in place equals one built from the current facets, and no
+    emptied face is left behind."""
+    for seed in range(3):
+        rng = random.Random(f"{seed}:{vertices}")
+        table = bistellar._StarTable([0b11111 ^ (1 << b) for b in range(5)], 3)
+        n, steps = 5, {"star": 0, 1: 0, 2: 0}
+        while n < vertices or steps[1] + steps[2] < 40:
+            kind = rng.choice(["star", 1, 2] if n < vertices else [1, 2])
+            if kind == "star":
+                table.apply(rng.choice(sorted(table.facets)), 1 << n)
+                n += 1
+            else:
+                moves = table.moves([kind])
+                if not moves:
+                    continue
+                alpha, beta, _ = rng.choice(moves)
+                table.apply(alpha, beta)
+            steps[kind] += 1
+            rebuilt = bistellar._StarTable(table.facets, table.dim)
+            assert table.facets == rebuilt.facets and table.stars == rebuilt.stars
+            # the keys are exactly the faces: no emptied face is left behind
+            for k in range(1, 4):
+                assert set(table.stars[k]) == {a for f in table.facets for a in _subsets(f, k)}
+                assert all(table.stars[k].values())
+        assert n == vertices and min(steps.values()) > 0
+        K = SimplicialComplex(tuple(sorted(table.facets)), tuple(map(str, range(1, n + 1))))
+        assert recognition.is_combinatorial_3_manifold(K)
 
 
 # -- preconditions are checked once, at the entry points -----------------------

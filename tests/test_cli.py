@@ -115,7 +115,7 @@ def test_bistellar_imports_only_what_it_needs():
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split() == [
-        "walkup", "walkup.bistellar", "walkup.constructions", "walkup.core", "walkup.recognition",
+        "walkup", "walkup.bistellar", "walkup.core", "walkup.recognition",
     ]
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -259,3 +260,40 @@ def test_antichain_matches_a_pairwise_filter(masks):
     distinct = set(masks)
     expected = sorted(m for m in distinct if not any(k != m and k & m == m for k in distinct))
     assert _antichain(masks) == expected
+
+
+# -- the input readers on arbitrary input --------------------------------------
+
+# Labels as the readers meet them: small and large integers, short words, and
+# the characters a label may not hold (whitespace, '#', nothing at all).
+_LABELS = st.integers(-3, 20) | st.integers() | st.sampled_from(
+    ["a", "5'", "", " ", "a b", "#", "x#", "\t"]
+)
+_FACET_LISTS = st.lists(st.lists(_LABELS, max_size=5), max_size=6)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | _LABELS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _read_or_refuse(reader, text):
+    """`reader(text)` returns a complex that survives the canonical text
+    round trip, or raises PreconditionError; any other exception fails."""
+    try:
+        K = reader(text)
+    except PreconditionError:
+        return
+    assert from_text(to_text(K)) == K
+
+
+@given(st.text() | _FACET_LISTS.map(lambda F: "\n".join(" ".join(map(str, f)) for f in F)))
+def test_readers_accept_or_refuse_arbitrary_text(text):
+    _read_or_refuse(from_text, text)
+    _read_or_refuse(from_json, text)
+
+
+@given(_JSON_VALUES | _FACET_LISTS | st.fixed_dictionaries({"facets": _FACET_LISTS | _JSON_VALUES}))
+def test_from_json_accepts_or_refuses_arbitrary_values(value):
+    _read_or_refuse(from_json, json.dumps(value))
+    _read_or_refuse(from_json, json.dumps(value)[:-1])

@@ -11,12 +11,29 @@ from walkup import constructions, homology
 from walkup.core import PreconditionError, from_facets
 from walkup.homology import (
     HomologyProfile,
-    _boundary_columns,
+    _face_boundary,
     _sparse_smith,
-    boundary_matrix,
     homology as homology_of,
     smith_normal_form,
 )
+
+
+# The dense oracle: whole signed boundary matrices, which the program never
+# builds, with faces sorted by bitmask value.
+
+
+def _boundary_columns(K, i):
+    """The columns of `boundary_matrix(K, i)`, each as {row: entry}."""
+    if i < 1 or i > K.dim:
+        raise PreconditionError(f"boundary dimension {i} out of range 1..{K.dim}")
+    row_index = {m: r for r, m in enumerate(K.faces_masks(i - 1))}
+    return [{row_index[m]: x for m, x in _face_boundary(cm)} for cm in K.faces_masks(i)]
+
+
+def boundary_matrix(K, i):
+    """The signed boundary from i-chains to (i-1)-chains."""
+    cols = _boundary_columns(K, i)
+    return [[col.get(r, 0) for col in cols] for r in range(len(K.faces_masks(i - 1)))]
 
 
 def _rank_rational(mat):
