@@ -255,11 +255,19 @@ def _raise_min_degree(table: _StarTable, labels: tuple[str, ...]) -> tuple[int, 
     if k > n - 2:
         raise PreconditionError(f"minimum degree {k} exceeds n-2 = {n - 2} (already neighbourly)")
     um = 1 << degrees.index(k)  # ids follow label order
-    moves = [m for m in table.moves([1]) if m[1] & um]
+    # a 1-move whose new edge beta holds u removes a triangle a opposite u in
+    # a facet f through u; beta is u and the vertex opposite a in the other facet
+    triangles, edges = table.stars[3], table.stars[2]
+    moves = []
+    for f in table.stars[1][um]:
+        a = f ^ um
+        g, h = triangles[a]
+        if g ^ h not in edges:
+            moves.append((a, g ^ h, 1))
     if not moves:
         u = labels[um.bit_length() - 1]
         raise LemmaViolation(f"no 1-move raises deg({u}) = {k} on an n={n} combinatorial 3-manifold")
-    return moves[0]
+    return min(moves, key=lambda m: (_bits(m[0]), _bits(m[1])))
 
 
 def neighbourly_reduction(

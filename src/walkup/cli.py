@@ -33,9 +33,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2
         raise _UsageError(message)
+
+    def print_help(self, file=None):  # argparse default prints, then exits
+        raise _HelpRequested(self.format_help())
 
 
 def _read_stdin() -> str:
@@ -430,6 +437,9 @@ def run(argv: list[str]) -> CommandOutcome:
         return CommandOutcome(
             1, report, f"error: {exc}\n{parser.format_usage()}", "--json" in argv
         )
+    except _HelpRequested as exc:
+        report = {"command": None, "ok": True, "exit_code": 0, "data": {"help": str(exc)}}
+        return CommandOutcome(0, report, str(exc), "--json" in argv)
     json_requested = bool(getattr(args, "json", False))
     try:
         ok, data, body = _HANDLERS[args.command](args)

@@ -10,30 +10,42 @@ The search branches on the open ridge with the fewest candidate vertices, the
 least ridge mask on ties, and stops scanning at a count of 0 or 1: the
 most-constrained-first rule of Knuth's "Dancing links" (2000).  The counts
 come from the closed-neighbour word (see `_ridge_table`), with d shifts and
-one popcount per open ridge.  The rule shapes the tree, not what it finds.
+one popcount per open ridge.  They leave out what `try_add` must refuse: a
+dead vertex, one whose star is sealed, and, on a ridge through a vertex
+whose link already has the most edges a link may have, a vertex that would
+add a ridge there, read off the present-ridge word.  (A vertex at the facet
+cap is sealed: the edge cap leaves its link no open edge, as each edge lies
+in at most two of its triangles; and no open ridge holds a sealed vertex.)
+The rule shapes the tree, not what it finds.
 Every sub-pool of a completion passes every check below: the caps are
 monotone, and a star that seals inside a completion's star is already all of
 it, since a closed surface (or cycle) inside a 2-sphere link (or cycle) is
-the whole link.  The chosen ridge lies in exactly one more facet of the
-completion, so one child leads on, and a fresh vertex it brings takes the
-next free label.  Any rule that looks only at the pool therefore reaches each
-completion once, with its fresh vertices in first-use order: completions,
-isomorph rejections and representatives do not depend on it.
+the whole link.  So the candidates keep every child that leads on, and the
+chosen ridge lies in exactly one more facet of the completion, so exactly one
+child leads on, and a fresh vertex it brings takes the next free label.  Any
+rule that looks only at the pool therefore reaches each completion once, with
+its fresh vertices in first-use order: completions, isomorph rejections and
+representatives do not depend on it.
 
-The 3-manifold censuses are anchored on a vertex star rather than a single
-facet: vertex 0's link is pinned to one of the canonically labelled m-vertex
-2-sphere census members, fixing 2m - 4 facets.  A closed star is final, so
-a vertex's link type is known once it closes: its facet count, then the
-sorted facet counts at the pairs through it (its link's vertex degrees), a
-cheap invariant before the canonical form (McKay, "Isomorph-free exhaustive
-generation", 1998).  A vertex closing with fewer facets than vertex 0, or as
-many and a smaller type, is rejected, so vertex 0 has least type in every
-completion.  Conversely, label a least-type vertex v of a manifold M as 0,
-its link as the census seed isomorphic to it, and the rest in first-use
+Both censuses are anchored on a vertex star rather than a single facet, so
+that each class is closed only from its vertices of least degree.  The
+2-sphere census runs one search per least degree k = 3..n-1, with vertex 0's
+link pinned to the cycle 1..k and every vertex refused that closes with
+fewer than k facets.  The 3-manifold censuses pin vertex 0's link to one of
+the canonically labelled m-vertex 2-sphere census members, fixing 2m - 4
+facets.  A closed star is final, so a vertex's link type is known once it
+closes: its facet count, then, in d = 3, the sorted facet counts at the pairs
+through it (its link's vertex degrees), a cheap invariant before the
+canonical form (McKay, "Isomorph-free exhaustive generation", 1998).  A
+vertex closing with fewer facets than vertex 0, or as many and a smaller
+type, is rejected, so vertex 0 has least type in every completion.
+Conversely, label a least-type vertex v of a complex M as 0, its link as the
+pinned cycle or census seed isomorphic to it, and the rest in first-use
 order: every star closing in a sub-pool of that copy is its star in M, of
-type at least v's, so no check refuses the copy.  Every manifold is thus
-reconstructed from each of its least-type vertices, and duplicates fall to
-the canonical-form filter.
+type at least v's, so no check refuses the copy.  Every complex is thus
+reconstructed from each of its least-type vertices, under each labelling of
+that vertex's link as the pinned one, and duplicates fall to the
+canonical-form filter.
 
 Cheap necessary conditions prune the tree: per-face facet counts respect the
 bounds a manifold link allows, and whenever a face's star closes ("seals"),
@@ -41,7 +53,7 @@ its link must already be a single cycle (edges) or a connected chi = 2
 surface (vertices).
 
 These checks make recognition of a completion unnecessary.  Every facet added
-after the first (or after the pinned star) closes an open ridge, so a
+after the pinned star closes an open ridge, so a
 completion is strongly connected, and each of its ridges lies in exactly two
 facets.  In d = 2 every vertex link passed the cycle check, so a completion is
 a closed surface; with n vertices and at most 2n - 4 facets its Euler
@@ -87,15 +99,17 @@ class CensusResult:
 
 
 @lru_cache(maxsize=None)
-def _facet_table(d: int) -> dict[int, tuple[int, int, tuple, tuple]]:
+def _facet_table(d: int) -> dict[int, tuple[int, int, int, tuple, tuple]]:
     """For each (d+1)-subset f of the 9 vertices: its top vertex, its ridges as
-    a face set, and (vertex, faces through it) for each of its vertices and
-    (pair, faces through it) for each of its vertex pairs when d = 3.
+    a face set, the bits its ridges set in a neighbour word (see
+    `_ridge_table`), and (vertex, faces through it) for each of its vertices
+    and (pair, faces through it) for each of its vertex pairs when d = 3.
 
     A face set is an int whose bit m is set when the face with vertex mask m is
     in it; the sets here list only ridges and facets (sizes d and d + 1).
     """
     faces = [m for m in range(1 << MAX_N) if m.bit_count() in (d, d + 1)]
+    closes = _ridge_table(d)[1]
 
     def through(s: int) -> int:
         return sum(1 << m for m in faces if m & s == s)
@@ -106,9 +120,11 @@ def _facet_table(d: int) -> dict[int, tuple[int, int, tuple, tuple]]:
         if f.bit_count() == d + 1:
             bits = _bits(f)
             pairs = [(1 << a) | (1 << b) for a, b in combinations(bits, 2)] if d == 3 else []
+            ridges = [f ^ (1 << b) for b in bits]
             table[f] = (
                 bits[-1],
-                sum(1 << (f ^ (1 << b)) for b in bits),
+                sum(1 << r for r in ridges),
+                sum(closes[r] for r in ridges),  # distinct ridges set distinct bits
                 tuple((b, at_vertex[b]) for b in bits),
                 tuple((p, through(p)) for p in pairs),
             )
@@ -147,9 +163,13 @@ class _ClosureSearch:
 
     The state is three face sets (see `_facet_table`): the facets, the ridges
     in at least one facet, and the open ridges, which lie in exactly one;
-    the closed-neighbour word `cn` of the closed ridges (see `_ridge_table`);
-    and the vertex count.  Facet counts at a vertex or pair, seal status and
-    ridge counts are popcounts of ANDs with the "faces through" sets.
+    two neighbour words (see `_ridge_table`), `cn` of the closed ridges and
+    `pw` of the present ones; two vertex masks, `dead` of the sealed
+    vertices, which can take no more facets, and `rfull` of those whose link
+    has `ridge_cap` edges; and the vertex count.  Facet counts at
+    a vertex or pair, seal status and ridge counts are popcounts of ANDs with
+    the "faces through" sets.  `try_add` keeps every check; the words and
+    masks only let `_choose` leave out candidates it would refuse.
     `min_seal` is the least facet count a vertex may have when its star
     closes; `degree_prunes` counts the additions it rejected.  A vertex that
     closes with exactly `min_seal` facets must not have a link type (see
@@ -171,8 +191,11 @@ class _ClosureSearch:
         self.present = 0
         self.open = 0
         self.cn = 0
+        self.pw = 0
+        self.dead = 0
+        self.rfull = 0
         self.used = 0
-        self._saved: list[tuple[int, int, int, int, int]] = []
+        self._saved: list[tuple[int, ...]] = []
         # bounds a manifold vertex or edge link allows on <= 9 vertices: facets
         # at a vertex, ridges at a vertex (edges of its link) and facets at a pair
         self.vertex_cap = 12 if d == 3 else max_vertices - 1
@@ -199,17 +222,21 @@ class _ClosureSearch:
         The caller has ruled out a full pool, a facet already present and a
         ridge of it already in two facets; False leaves the state untouched.
         """
-        top, ridges, at_vertices, at_pairs = self.table[fmask]
+        top, ridges, word, at_vertices, at_pairs = self.table[fmask]
         facets, open_ = self.facets, self.open
         present = self.present | ridges
-        for _, through in at_vertices:
+        rfull = self.rfull
+        for b, through in at_vertices:
             mine = facets & through
             if mine and not open_ & through:
                 return False  # sealed vertex link
             if mine.bit_count() >= self.vertex_cap:
                 return False
-            if (present & through).bit_count() > self.ridge_cap:
+            edges = (present & through).bit_count()
+            if edges > self.ridge_cap:
                 return False
+            if edges == self.ridge_cap:
+                rfull |= 1 << b
         for _, through in at_pairs:
             mine = facets & through
             if mine and not open_ & through:
@@ -218,6 +245,7 @@ class _ClosureSearch:
                 return False
         facets |= 1 << fmask
         open_ ^= ridges
+        dead = self.dead
         for b, through in at_vertices:
             if not open_ & through:
                 mine = facets & through
@@ -230,6 +258,7 @@ class _ClosureSearch:
                     return False
                 if not self._vertex_link_ok(b, mine, (present & through).bit_count()):
                     return False
+                dead |= 1 << b
         for p, through in at_pairs:
             if not open_ & through and not self._link_is_cycle(p, facets & through):
                 return False
@@ -239,13 +268,18 @@ class _ClosureSearch:
             low = closing & -closing
             cn |= self.closes[low.bit_length() - 1]
             closing ^= low
-        self._saved.append((self.facets, self.present, self.open, self.cn, self.used))
-        self.facets, self.present, self.open, self.cn = facets, present, open_, cn
+        self._saved.append((
+            self.facets, self.present, self.open, self.cn, self.pw, self.dead, self.rfull, self.used
+        ))
+        self.facets, self.present, self.open = facets, present, open_
+        self.cn, self.pw, self.dead, self.rfull = cn, self.pw | word, dead, rfull
         self.used = max(self.used, top + 1)
         return True
 
     def undo(self) -> None:
-        self.facets, self.present, self.open, self.cn, self.used = self._saved.pop()
+        (
+            self.facets, self.present, self.open, self.cn, self.pw, self.dead, self.rfull, self.used
+        ) = self._saved.pop()
 
     # -- seal validation ---------------------------------------------------
 
@@ -306,13 +340,16 @@ class _ClosureSearch:
         """The open ridge r to branch on and its candidates as a vertex mask.
 
         The candidates are the allowed vertices v outside r with no ridge
-        r - {x} + {v} closed: bit v of the field of r - {x} in `cn`.  They are
-        the vertices that can close r, plus the vertex of the facet holding r
-        unless another ridge of that facet is closed.  The ridge has the
-        fewest candidates, the least mask on ties; the scan stops at 0 or 1.
+        r - {x} + {v} closed: bit v of the field of r - {x} in `cn`.  A dead
+        vertex is not allowed.  Where the (d-1)-face r - {y} holds a vertex
+        of `rfull`, v must also make r - {y} + {v} present: bit v of that
+        face's field in `pw`.  The candidates are the vertices that can close
+        r, plus the vertex of the facet holding r unless another ridge of
+        that facet is closed.  The ridge has the fewest candidates, the least
+        mask on ties; the scan stops at 0 or 1.
         """
-        cn, shifts = self.cn, self.shifts
-        allowed = (1 << min(self.used + 1, self.max_vertices)) - 1
+        cn, pw, rfull, shifts = self.cn, self.pw, self.rfull, self.shifts
+        allowed = ((1 << min(self.used + 1, self.max_vertices)) - 1) & ~self.dead
         best, fewest, choice = 0, MAX_N + 1, 0
         rest = self.open
         while rest:
@@ -323,6 +360,10 @@ class _ClosureSearch:
             for s in shifts[ridge]:
                 blocked |= cn >> s
             candidates = allowed & ~blocked
+            if ridge & rfull:
+                for y, s in zip(_bits(ridge), shifts[ridge]):
+                    if ridge & ~(1 << y) & rfull:
+                        candidates &= pw >> s
             count = candidates.bit_count()
             if count < fewest:
                 best, fewest, choice = ridge, count, candidates
@@ -352,20 +393,27 @@ def _dedupe(n: int, found: dict[bytes, SimplicialComplex], stats: dict[str, int]
 
 
 def enumerate_two_spheres(n: int) -> CensusResult:
-    """All combinatorial 2-spheres on exactly n vertices, up to isomorphism."""
+    """All combinatorial 2-spheres on exactly n vertices, up to isomorphism.
+
+    One search per least degree k = 3..n-1: vertex 0's link is pinned to
+    the cycle 1..k, and every other vertex must close with at least k
+    facets, so vertex 0 has least degree in every completion.
+    """
     if n < 4 or n > 8:
         raise PreconditionError(f"2-sphere census covers 4 <= n <= 8, got {n}")
-    search = _ClosureSearch(d=2, max_vertices=n, max_facets=2 * n - 4)
-    search.try_add(0b111)
     found: dict[bytes, SimplicialComplex] = {}
-    stats = {"isomorph_rejections": 0}
-    search.run(_dedupe(n, found, stats))
-    ordered = [found[k] for k in sorted(found)]
-    return CensusResult(
-        ordered,
-        {"two_sphere": len(ordered)},
-        {"nodes": search.nodes, "completions": search.completions, **stats},
-    )
+    stats = {"nodes": 0, "completions": 0, "isomorph_rejections": 0}
+    on_complete = _dedupe(n, found, stats)
+    for k in range(3, n):
+        search = _ClosureSearch(d=2, max_vertices=n, max_facets=2 * n - 4, min_seal=k)
+        for i in range(1, k + 1):
+            ok = search.try_add(1 | 1 << i | 1 << (i % k + 1))
+            assert ok, "a pinned cycle star must always insert cleanly"
+        search.run(on_complete)
+        stats["nodes"] += search.nodes
+        stats["completions"] += search.completions
+    ordered = [found[key] for key in sorted(found)]
+    return CensusResult(ordered, {"two_sphere": len(ordered)}, stats)
 
 
 @lru_cache(maxsize=None)
@@ -446,7 +494,7 @@ def enumerate_neighbourly_9_manifolds(
 
 def enumerate_all_9_manifolds(threads: int = 1) -> CensusResult:
     """The full census of 9-vertex combinatorial 3-manifolds: one pinned-link
-    search per 2-sphere on 4..8 vertices (about 10 s on one thread of a 2-core
+    search per 2-sphere on 4..8 vertices (about 7 s on one thread of a 2-core
     machine).  `threads` works as for the neighbourly census.
     """
     return _census_9(range(4, 9), None, threads)

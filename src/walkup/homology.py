@@ -211,8 +211,6 @@ def homology(K: SimplicialComplex) -> HomologyProfile:
     form has only factors 1, so H0 is free and the matrix is never built.
     """
     d = K.dim
-    if d > 3:
-        raise PreconditionError(f"homology guardrail: dimension {d} > 3")
     if d < 0:
         raise PreconditionError("homology of the empty complex is undefined")
     fvec = K.f_vector()

@@ -116,18 +116,20 @@ def _is_two_sphere_masks(masks: Sequence[int]) -> bool:
     edge in two triangles, so each vertex link is a cycle once connected; the
     whole connected; and Euler characteristic 2."""
     edges: dict[int, int] = {}
-    used = 0
+    links: dict[int, list[int]] = {}  # vertex -> the edges of its link
     for t in masks:
         if t.bit_count() != 3:
             return False
-        used |= t
         for b in _bits(t):
-            edges[t ^ (1 << b)] = edges.get(t ^ (1 << b), 0) + 1
-    if used.bit_count() - len(edges) + len(masks) != 2 or any(c != 2 for c in edges.values()):
+            e = t ^ (1 << b)
+            edges[e] = edges.get(e, 0) + 1
+            if b in links:
+                links[b].append(e)
+            else:
+                links[b] = [e]
+    if len(links) - len(edges) + len(masks) != 2 or any(c != 2 for c in edges.values()):
         return False
-    return _connected(masks) and all(
-        _connected([t ^ (1 << b) for t in masks if t >> b & 1]) for b in _bits(used)
-    )
+    return _connected(masks) and all(_connected(link) for link in links.values())
 
 
 def closed_surface_witness(K: SimplicialComplex) -> frozenset[str] | None:

@@ -110,6 +110,24 @@ def test_raise_min_degree_guarantee():
         assert degrees_after[target] == low + 1
 
 
+def test_raise_min_degree_matches_the_move_scan():
+    """At every step of seeded reductions, the move `_raise_min_degree` finds
+    from the facets through u is the least 1-move of the whole table whose
+    new edge holds u, a least-degree vertex."""
+    steps = 0
+    for seed in range(12):
+        K = random_three_sphere(seed)
+        table = bistellar._StarTable(K.facet_masks, 3)
+        while len(table.stars[2]) < 36:
+            degrees = table.degrees()
+            um = 1 << degrees.index(min(degrees))
+            expected = [m for m in table.moves([1]) if m[1] & um][0]
+            assert bistellar._raise_min_degree(table, K.labels) == expected
+            table.apply(*expected[:2])
+            steps += 1
+    assert steps > 40
+
+
 def test_raise_min_degree_at_degree_four():
     # starring into an 8-vertex sphere forces a degree-4 minimum vertex
     base = random_three_sphere(3, vertices=8)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import walkup
 from walkup import core
@@ -30,6 +31,12 @@ def _invoke_python(*argv: str, stdin: str | bytes | None = None):
     return subprocess.CompletedProcess(
         done.args, done.returncode, done.stdout.decode(), done.stderr.decode()
     )
+
+
+def _report_schema() -> dict:
+    from importlib import resources
+
+    return json.loads(resources.files("walkup").joinpath("data", "report.schema.json").read_text())
 
 
 def _invoke(*argv: str, stdin: str | bytes | None = None):
@@ -85,11 +92,8 @@ def test_malformed_complex_input_exits_1(tmp_path, case):
     """Each malformed file exits 1 with a precondition message and a
     schema-valid report, never with a traceback."""
     import jsonschema
-    from importlib import resources
 
-    schema = json.loads(
-        resources.files("walkup").joinpath("data", "report.schema.json").read_text()
-    )
+    schema = _report_schema()
     path = tmp_path / "input"
     if _MALFORMED[case] is None:
         path.mkdir()
@@ -152,11 +156,8 @@ def test_cli_subprocess_pipeline():
 
 def test_cli_json_reports_validate_against_schema():
     import jsonschema
-    from importlib import resources
 
-    schema = json.loads(
-        resources.files("walkup").joinpath("data", "report.schema.json").read_text()
-    )
+    schema = _report_schema()
     commands = [
         ["info", "k39"],
         ["check", "S5"],
@@ -356,6 +357,19 @@ def test_parametric_names():
     assert run(["info", "cycle:9"]).report["data"]["f_vector"] == [9, 9]
     assert run(["info", "walkup:2"]).report["data"]["f_vector"] == [7, 21, 14]
     assert run(["info", "sphere:x"]).exit_code == 1
+    homology = run(["homology", "walkup:4"])
+    assert homology.exit_code == 0 and homology.text == "H0=Z  H1=Z  H2=0  H3=Z  H4=Z\n"
+
+
+def test_help_returns_an_outcome():
+    """`-h` anywhere returns the help text with exit code 0, as a report
+    under `--json`, instead of leaving `run` through SystemExit."""
+    outcome = run(["--json", "-h"])
+    assert outcome.exit_code == 0 and outcome.json_requested
+    assert outcome.report["data"]["help"] == outcome.text
+    assert outcome.text.startswith("usage: walkup")
+    outcome = run(["moves", "list", "--help"])
+    assert outcome.exit_code == 0 and outcome.text.startswith("usage: walkup moves list")
 
 
 @pytest.mark.slow
@@ -379,3 +393,76 @@ def test_random9_seed_is_echoed():
     assert "# seed=3" in outcome.text
     again = run(["--seed", "3", "gen", "random9"])
     assert outcome.text == again.text
+
+
+# The argument surface for the fuzz below: every command with valid and
+# malformed operands, then stray flags and tokens anywhere in the line.  The
+# censuses on 9 vertices and the file-writing flags are left out: the one
+# takes seconds and the other writes wherever its path points.
+_COMPLEXES = [
+    "S5", "S9", "k39", "k27", "c37", "m10", "calS", "-", "nosuch", "sphere:x", "torus:1",
+    ":", "/nonexistent/walkup.facets",
+]
+_PARAMETRIC = st.builds(
+    "{}:{}".format, st.sampled_from(["sphere", "cycle", "walkup", "random9"]), st.integers(-2, 14)
+)
+_COMPLEX = st.sampled_from(_COMPLEXES) | _PARAMETRIC
+_FACE = st.sampled_from(["1", "1,2", "1,2,3", "2 3 4 5", "", ",", "x", "1,1", "9,10"])
+_INT = st.sampled_from(["-1", "0", "1", "2", "3", "5", "8", "9", "x", "", "9" * 20])
+_OPERANDS = {
+    "gen": st.tuples(_COMPLEX),
+    "info": st.tuples(_COMPLEX),
+    "check": st.tuples(_COMPLEX),
+    "homology": st.tuples(_COMPLEX),
+    "aut": st.tuples(_COMPLEX),
+    "link": st.tuples(_COMPLEX, st.just("--face"), _FACE),
+    "iso": st.tuples(_COMPLEX, _COMPLEX),
+    "alpha": st.tuples(st.just("--k"), _INT)
+    | st.tuples(st.just("--k"), _INT, st.just("--complex"), _COMPLEX),
+    "moves": st.tuples(st.just("list"), st.just("--complex"), _COMPLEX, st.just("--type"), _INT)
+    | st.tuples(st.just("explain"), st.just("--complex"), _COMPLEX, st.just("--alpha"), _FACE)
+    | st.tuples(
+        st.just("apply"), st.just("--complex"), _COMPLEX, st.just("--alpha"), _FACE,
+        st.just("--beta"), _FACE,
+    ),
+    "reduce": st.tuples(st.just("--complex"), _COMPLEX),
+    "verify": st.tuples(
+        st.sampled_from(["lemma3.1", "lemma4.1", "lemma4.2", "lemma4.5", "eq1", "lemma9"]),
+        st.sampled_from(["--complex", "--sphere"]),
+        _COMPLEX | st.sampled_from(["S2", "S7"]),
+    ),
+    "enumerate": st.tuples(st.just("spheres2"), st.just("--n"), _INT),
+    "frobnicate": st.tuples(),
+}
+_STRAY = st.sampled_from(["--json", "--seed", "--threads", "--bogus", "-h", "-", "x"]) | _INT
+_STDIN = st.sampled_from([b"", b"1 2 3\n", b"1 2\n2 3\n3 1\n", b"{", b"[[1, 2]]", b"\xff"])
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPERANDS)))
+    argv = [command, *draw(_OPERANDS[command])]
+    for token in draw(st.lists(_STRAY, max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), "--json")
+    return argv
+
+
+@settings(max_examples=150)
+@given(_argvs(), _STDIN)
+def test_run_argument_fuzz(argv, stdin):
+    """Every command line returns an exit code of 0, 1 or 2 and a report
+    that is schema-valid and serialisable, never an exception."""
+    import io
+    from unittest import mock
+
+    import jsonschema
+
+    with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin))):
+        outcome = run(argv)
+    assert outcome.exit_code in (0, 1, 2)
+    assert outcome.report["exit_code"] == outcome.exit_code
+    assert "--json" in argv or not outcome.json_requested
+    jsonschema.validate(json.loads(json.dumps(outcome.report)), _report_schema())
+    assert isinstance(outcome.text, str)

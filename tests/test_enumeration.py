@@ -12,7 +12,9 @@ from walkup.isomorphism import canonical_form
 KNOWN_SPHERE_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14}
 # (nodes, completions, isomorph rejections): the closure search visits exactly
 # this tree; a search that prunes differently must re-derive it on purpose
-KNOWN_SEARCH_TREES = {4: (4, 1, 0), 5: (13, 4, 2), 6: (54, 17, 11), 7: (329, 86, 63), 8: (3050, 518, 385)}
+KNOWN_SEARCH_TREES = {
+    4: (2, 1, 0), 5: (6, 2, 0), 6: (23, 6, 2), 7: (129, 22, 10), 8: (1042, 100, 60),
+}
 
 
 def _vertex_splits(K: SimplicialComplex):
@@ -219,20 +221,39 @@ def test_closure_search_refuses_a_pair_link_of_two_triangles():
     assert all(r & 0b11 != 0b11 for r in _iter_bits(search.open))
 
 
-def _closed_word(search: _ClosureSearch) -> int:
-    """The closed-neighbour word rebuilt from the closed ridges alone: one
+def _ridge_word(search: _ClosureSearch, ridges: int) -> int:
+    """The word of a face set of ridges, rebuilt from the ridges alone: one
     9-bit field per (d-1)-face in increasing mask order, with bit v of the
-    field of e set when e + {v} is a closed ridge."""
+    field of e set when e + {v} is in the set."""
     bases = [m for m in range(1 << 9) if m.bit_count() == search.d - 1]
     word = 0
-    for ridge in _iter_bits(search.present & ~search.open):
+    for ridge in _iter_bits(ridges):
         for x in _iter_bits(ridge):
             word |= 1 << (9 * bases.index(ridge ^ (1 << x)) + x)
     return word
 
 
-def _filter_keeps(search: _ClosureSearch, ridge: int) -> int:
-    """The vertices the per-vertex filter keeps for an open ridge: allowed,
+def _dead_and_full(search: _ClosureSearch) -> tuple[int, int]:
+    """The vertex masks of the dead vertices (sealed, or with `vertex_cap`
+    facets) and of those with `ridge_cap` ridges, counted from the pool.  The
+    search keeps only the sealed ones: the ridge cap seals a vertex at the
+    facet cap, which `_check_state` confirms by comparing the two."""
+    facets = list(_iter_bits(search.facets))
+    open_ = list(_iter_bits(search.open))
+    present = list(_iter_bits(search.present))
+    dead = full = 0
+    for b in range(9):
+        count = sum(f >> b & 1 for f in facets)
+        sealed = count and not any(r >> b & 1 for r in open_)
+        if sealed or count == search.vertex_cap:
+            dead |= 1 << b
+        if sum(r >> b & 1 for r in present) == search.ridge_cap:
+            full |= 1 << b
+    return dead, full
+
+
+def _basic_keeps(search: _ClosureSearch, ridge: int) -> int:
+    """The vertices `try_add` may be offered for an open ridge: allowed,
     outside it, not making a present facet, and closing no closed ridge."""
     closed = search.present & ~search.open
     kept = 0
@@ -244,19 +265,40 @@ def _filter_keeps(search: _ClosureSearch, ridge: int) -> int:
     return kept
 
 
+def _filter_keeps(search: _ClosureSearch, ridge: int) -> int:
+    """The vertices the per-vertex filter keeps for an open ridge: the basic
+    ones that are not dead and add no ridge at a vertex of the ridge that
+    has `ridge_cap` ridges."""
+    dead, full = _dead_and_full(search)
+    kept = 0
+    for v in _iter_bits(_basic_keeps(search, ridge) & ~dead):
+        fmask = ridge | 1 << v
+        ridges = [fmask ^ (1 << x) for x in _iter_bits(fmask)]
+        if not any(r & ridge & full for r in ridges if not search.present >> r & 1):
+            kept |= 1 << v
+    return kept
+
+
 def _check_state(search: _ClosureSearch) -> None:
-    """`cn` matches its rebuild; each open ridge's candidate mask is what the
-    per-vertex filter keeps, plus possibly the vertex of the facet holding the
-    ridge; and `_choose` takes the first ridge with at most one candidate, or
-    else the least ridge with fewest."""
-    assert search.cn == _closed_word(search)
-    allowed = (1 << min(search.used + 1, search.max_vertices)) - 1
+    """`cn`, `pw`, `dead` and `rfull` match their rebuilds; no open ridge
+    holds a dead vertex; each open ridge's candidate mask is what the
+    per-vertex filter keeps, plus possibly the vertex of the facet holding
+    the ridge; and `_choose` takes the first ridge with at most one
+    candidate, or else the least ridge with fewest."""
+    assert search.cn == _ridge_word(search, search.present & ~search.open)
+    assert search.pw == _ridge_word(search, search.present)
+    assert (search.dead, search.rfull) == _dead_and_full(search)
+    allowed = ((1 << min(search.used + 1, search.max_vertices)) - 1) & ~search.dead
     masks = {}
     for ridge in _iter_bits(search.open):
         blocked = ridge
         for s in search.shifts[ridge]:
             blocked |= search.cn >> s
+        assert not ridge & search.dead
         mask = allowed & ~blocked
+        for y, s in zip(_iter_bits(ridge), search.shifts[ridge]):
+            if ridge & ~(1 << y) & search.rfull:
+                mask &= search.pw >> s
         (holder,) = [v for v in range(9) if search.facets >> (ridge | 1 << v) & 1]
         assert mask & ~(1 << holder) == _filter_keeps(search, ridge)
         masks[ridge] = mask
@@ -266,17 +308,36 @@ def _check_state(search: _ClosureSearch) -> None:
         assert search._choose() == (expected, masks[expected])
 
 
-def _seeded_walk(search: _ClosureSearch, seed: int, steps: int) -> tuple[int, int, int]:
-    """Random try_add/undo steps above the initial pool, checking the state
-    after every one; returns the counts of accepted, refused and undone adds."""
+def _check_drops(search: _ClosureSearch) -> int:
+    """Offer `try_add` every basic vertex the filter drops, on every open
+    ridge: each must be refused with the state left as it was.  Returns the
+    number of drops."""
+    drops = 0
+    for ridge in _iter_bits(search.open):
+        for v in _iter_bits(_basic_keeps(search, ridge) & ~_filter_keeps(search, ridge)):
+            before = (search.facets, search.present, search.open, search.cn, search.pw,
+                      search.dead, search.rfull, search.used)
+            assert not search.try_add(ridge | 1 << v)
+            assert before == (search.facets, search.present, search.open, search.cn, search.pw,
+                              search.dead, search.rfull, search.used)
+            drops += 1
+    return drops
+
+
+def _seeded_walk(
+    search: _ClosureSearch, seed: int, steps: int, check=_check_state
+) -> tuple[int, int, int]:
+    """Random try_add/undo steps above the initial pool, offering the basic
+    vertices, and checking the state after every one; returns the counts of
+    accepted, refused and undone adds."""
     import random
 
     rng = random.Random(seed)
     depth = accepted = refused = undone = 0
-    _check_state(search)
+    check(search)
     for _ in range(steps):
         full = search.facets.bit_count() >= search.max_facets
-        kept = {r: _filter_keeps(search, r) for r in _iter_bits(search.open)} if not full else {}
+        kept = {r: _basic_keeps(search, r) for r in _iter_bits(search.open)} if not full else {}
         choices = [(r, v) for r, k in kept.items() for v in _iter_bits(k)]
         if depth and (not choices or rng.random() < 0.3):
             search.undo()
@@ -289,7 +350,7 @@ def _seeded_walk(search: _ClosureSearch, seed: int, steps: int) -> tuple[int, in
                 accepted += 1
             else:
                 refused += 1
-        _check_state(search)
+        check(search)
     return accepted, refused, undone
 
 
@@ -306,6 +367,23 @@ def test_closed_neighbour_word_follows_try_add_and_undo(seed):
     assert search.try_add(0b111)
     accepted, refused, undone = _seeded_walk(search, seed, 300)
     assert accepted > 30 and undone > 30
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_filter_drops_only_what_try_add_refuses(seed):
+    """On the seeded walks, every vertex the dead-vertex and ridge-cap rules
+    take out of a ridge's candidates is refused by `try_add`."""
+    drops = []
+    link = enumerate_two_spheres(8).complexes[seed * 7]
+    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27, min_seal=12)
+    for fm in link.facet_masks:
+        assert search.try_add(1 | fm << 1)
+    _seeded_walk(search, seed, 150, check=lambda s: drops.append(_check_drops(s)))
+
+    search = _ClosureSearch(d=2, max_vertices=8, max_facets=12)
+    assert search.try_add(0b111)
+    _seeded_walk(search, seed, 150, check=lambda s: drops.append(-_check_drops(s)))
+    assert sum(d for d in drops if d > 0) > 50 and sum(d for d in drops if d < 0) < -50
 
 
 def _link_type(L: SimplicialComplex) -> tuple[int, tuple[int, ...]]:
@@ -342,8 +420,8 @@ def _mass(complexes) -> int:
 def test_full_census_restricts_to_neighbourly_census(full_census, neighbourly_census):
     full = full_census
     assert full.stats == {
-        "nodes": 146076, "completions": 14536, "isomorph_rejections": 12955,
-        "degree_prunes": 10619, "key_prunes": 5778,
+        "nodes": 132709, "completions": 14536, "isomorph_rejections": 12955,
+        "degree_prunes": 10004, "key_prunes": 5410,
     }
     for K in full.complexes:
         assert recognition.is_combinatorial_3_manifold(K)
@@ -362,23 +440,25 @@ def test_full_census_restricts_to_neighbourly_census(full_census, neighbourly_ce
     assert _mass(full.complexes) == observed == 14252
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_sphere_census_mass_formula(n):
-    """Exhaustiveness cross-check by orbit counting: the number of valid
-    n-vertex completions found with the pinned first facet must equal
-    sum over classes of f2 * 3! / |Aut|, the number of labelled copies
-    carrying {0,1,2} as a facet with vertices in first-use order."""
+    """Exhaustiveness cross-check by orbit counting: the census pins vertex
+    0's link to the cycle 1..k for each least degree k, so the valid n-vertex
+    completions must number the sum over classes of (least-degree vertices)
+    * 2k / |Aut|: the labelled copies with a least-degree vertex as 0, its
+    link cycle as 1..k in one of 2k ways, and the rest in first-use order."""
     from fractions import Fraction
 
     from walkup.isomorphism import automorphism_group
 
     result = enumerate_two_spheres(n)
     observed = result.counts["two_sphere"] + result.stats["isomorph_rejections"]
-    predicted = sum(
-        Fraction((2 * n - 4) * 6, automorphism_group(K).order)
-        for K in result.complexes
-    )
-    assert predicted == observed
+    predicted = 0
+    for K in result.complexes:
+        degrees = [K.degree([v]) for v in K.labels]
+        k = min(degrees)
+        predicted += Fraction(degrees.count(k) * 2 * k, automorphism_group(K).order)
+    assert predicted == observed == {4: 1, 5: 1, 6: 4, 7: 15, 8: 74}[n]
 
 
 @pytest.mark.slow
@@ -395,8 +475,8 @@ def test_neighbourly_census(k39, neighbourly_census):
     result = neighbourly_census
     assert result.counts == {"total": 51, "sphere": 50, "non_sphere": 1}
     assert result.stats == {
-        "nodes": 23031, "completions": 127, "isomorph_rejections": 76,
-        "degree_prunes": 3072, "key_prunes": 2346,
+        "nodes": 21314, "completions": 127, "isomorph_rejections": 76,
+        "degree_prunes": 2760, "key_prunes": 2140,
     }
     non_spheres = [
         K
@@ -425,7 +505,7 @@ def test_neighbourly_census_worker_pool(neighbourly_census):
 def test_neighbourly_census_base_order_invariance(neighbourly_census):
     base = neighbourly_census
     shuffled = enumerate_neighbourly_9_manifolds(label_seed=12345)
-    assert shuffled.stats["nodes"] == 12540
+    assert shuffled.stats["nodes"] == 11241
     for key in ("completions", "isomorph_rejections"):
         assert shuffled.stats[key] == base.stats[key]
     assert base.counts == shuffled.counts

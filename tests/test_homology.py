@@ -185,9 +185,40 @@ def test_h0_counts_components(torus7):
     assert homology_of(torus_and_point) == HomologyProfile((2, 2, 1), ((), (), ()))
 
 
-def test_homology_guardrail():
-    with pytest.raises(PreconditionError):
-        homology_of(constructions.standard_sphere(4))
+def _walkup_profile(d):
+    """The expected homology of K^d_{2d+3}: the torus for d = 2; S^{d-1} x S^1
+    for even d, with H1 = H_{d-1} = H_d = Z; the twisted bundle for odd d,
+    with H1 = Z, H_{d-1} = Z/2 and H_d = 0."""
+    betti = [1, 1] + [0] * (d - 1)
+    torsion = [()] * (d + 1)
+    if d % 2 == 0:
+        betti[d - 1] += 1
+        betti[d] = 1
+    else:
+        torsion[d - 1] = (2,)
+    return HomologyProfile(tuple(betti), tuple(torsion))
+
+
+def test_walkup_family_homology():
+    """Homology has no dimension cap: Walkup's family K^d_{2d+3}, d = 2..6,
+    and the boundary of the (d+1)-simplex, d = 4..6, against the dense normal
+    form.  At d = 6 the dense normal form takes seconds, so the oracle there
+    is the rank of every boundary mod 2: the Betti numbers mod 2 equal the
+    free ranks exactly when no homology group has 2-torsion."""
+    for d in range(2, 7):
+        K = constructions.walkup_complex(d)
+        profile = homology_of(K)
+        assert profile == _walkup_profile(d), d
+        if d <= 5:
+            assert profile == _dense_profile(K), d
+        else:
+            ranks = [0] + [_rank_mod(boundary_matrix(K, i), 2) for i in range(1, d + 1)] + [0]
+            fvec = K.f_vector()
+            assert tuple(fvec[i] - ranks[i] - ranks[i + 1] for i in range(d + 1)) == profile.betti
+    for d in range(4, 7):
+        K = constructions.standard_sphere(d)
+        sphere = HomologyProfile((1,) + (0,) * (d - 1) + (1,), ((),) * (d + 1))
+        assert homology_of(K) == _dense_profile(K) == sphere
     with pytest.raises(PreconditionError):
         boundary_matrix(from_facets([{"a"}]), 1)
 
