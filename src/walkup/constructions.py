@@ -67,30 +67,11 @@ def walkup_complex(d: int) -> SimplicialComplex:
 
 
 def cyclic_sphere_c37() -> SimplicialComplex:
-    """The cyclic 3-sphere on 7 vertices: facets are the 4-subsets on which
-    the 7-cycle induces a subgraph with all components of even size."""
-    facets = []
-    for combo in combinations(range(1, 8), 4):
-        chosen = set(combo)
-        sizes = []
-        seen: set[int] = set()
-        for v in chosen:
-            if v in seen:
-                continue
-            size = 0
-            stack = [v]
-            seen.add(v)
-            while stack:
-                x = stack.pop()
-                size += 1
-                for w in (x % 7 + 1, (x - 2) % 7 + 1):
-                    if w in chosen and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            sizes.append(size)
-        if all(size % 2 == 0 for size in sizes):
-            facets.append({str(v) for v in combo})
-    return from_facets(facets)
+    """The cyclic 3-sphere on 7 vertices, the boundary of the cyclic
+    4-polytope: by Gale's evenness condition its facets are the unions of
+    two disjoint edges of the 7-cycle."""
+    edges = [{i, i % 7 + 1} for i in range(1, 8)]
+    return from_facets([a | b for a, b in combinations(edges, 2) if not a & b])
 
 
 def connected_sum_c37() -> SimplicialComplex:

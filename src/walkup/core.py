@@ -283,9 +283,6 @@ class SimplicialComplex:
         )
 
 
-EMPTY_COMPLEX = SimplicialComplex((), ())
-
-
 def from_facets(facet_list: Iterable[Face]) -> SimplicialComplex:
     """Build a complex from vertex-label sets, reducing to an antichain.
 

@@ -13,11 +13,9 @@ come from the closed-neighbour word (see `_ridge_table`), with d shifts and
 one popcount per open ridge.  They leave out what `try_add` must refuse: a
 dead vertex, one whose star is sealed, and, on a ridge through a vertex
 whose link already has the most edges a link may have, a vertex that would
-add a ridge there, read off the present-ridge word.  (A vertex at the facet
-cap is sealed: the edge cap leaves its link no open edge, as each edge lies
-in at most two of its triangles; and no open ridge holds a sealed vertex.)
-The rule shapes the tree, not what it finds.
-Every sub-pool of a completion passes every check below: the caps are
+add a ridge there, read off the present-ridge word.  No open ridge holds a
+sealed vertex.  The rule shapes the tree, not what it finds.
+Every sub-pool of a completion passes every check below: the ridge cap is
 monotone, and a star that seals inside a completion's star is already all of
 it, since a closed surface (or cycle) inside a 2-sphere link (or cycle) is
 the whole link.  So the candidates keep every child that leads on, and the
@@ -47,24 +45,31 @@ reconstructed from each of its least-type vertices, under each labelling of
 that vertex's link as the pinned one, and duplicates fall to the
 canonical-form filter.
 
-Cheap necessary conditions prune the tree: per-face facet counts respect the
-bounds a manifold link allows, and whenever a face's star closes ("seals"),
-its link must already be a single cycle (edges) or a connected chi = 2
-surface (vertices).
+Cheap necessary conditions prune the tree: a vertex link has at most 18
+edges in d = 3 (n - 1 vertices in d = 2), the ridge cap, and whenever a
+face's star closes ("seals"), its link must already be a single cycle
+(edges) or a connected chi = 2 surface (vertices).  These imply every facet
+cap, as a ridge lies in at most two facets and a sealed star takes no more:
+the F facets at a vertex make 3F <= 2 * 18 link-edge incidences (2F <=
+2(n - 1) in d = 2), and at the bound every link edge lies in two, which
+seals the vertex; a pair's link has degree at most 2 on 7 vertices, so 7
+facets seal it.  The facet budget is 2n - 4 in d = 2, the facets of an
+n-vertex 2-sphere, and it cuts branches; in d = 3 it is n(n - 3)/2 = 27,
+as 4F <= 12n, and 27 facets seal every vertex, so it never cuts.
 
-These checks make recognition of a completion unnecessary.  Every facet added
-after the pinned star closes an open ridge, so a
-completion is strongly connected, and each of its ridges lies in exactly two
-facets.  In d = 2 every vertex link passed the cycle check, so a completion is
-a closed surface; with n vertices and at most 2n - 4 facets its Euler
-characteristic n - f/2 is at least 2, so it is a 2-sphere.  In d = 3 every
-edge link passed the cycle check, so every vertex link is a closed surface,
-and the vertex check made it connected with chi = 2: a 2-sphere.  With an
-8-vertex pinned link every vertex seals with at least 12 facets, the vertex
-cap, so all have degree 8 and the completion is neighbourly: the neighbourly
-census is the full census's 8-vertex tasks, and one driver runs both over
-their pinned-link sizes (8, or 4..8).  The tests and the benchmark
-re-verify every census member independently.
+These checks make recognition of a completion unnecessary.  Every facet
+added after the pinned star closes an open ridge, so a completion is
+strongly connected, and each of its ridges lies in exactly two facets.  In
+d = 2 every vertex link passed the cycle check, so a completion is a closed
+surface; with n vertices and at most 2n - 4 facets its Euler characteristic
+n - f/2 is at least 2, so it is a 2-sphere.  In d = 3 every edge link passed
+the cycle check, so every vertex link is a closed surface, and the vertex
+check made it connected with chi = 2: a 2-sphere.  With an 8-vertex pinned
+link every vertex seals with at least 12 facets, the most it may have, so
+all have degree 8 and the completion is neighbourly: the neighbourly census
+is the full census's 8-vertex tasks, and one driver runs both over their
+pinned-link sizes (8, or 4..8).  The tests and the benchmark re-verify every
+census member independently.
 """
 
 from __future__ import annotations
@@ -173,16 +178,20 @@ class _ClosureSearch:
     `min_seal` is the least facet count a vertex may have when its star
     closes; `degree_prunes` counts the additions it rejected.  A vertex that
     closes with exactly `min_seal` facets must not have a link type (see
-    `_link_type`) below `min_type`; `key_prunes` counts those.  `completions`
-    counts every pool with no open ridge, also those that close on fewer
-    vertices than the census asks for, which its `on_complete` drops.
+    `_link_type`) below `min_type`; `key_prunes` counts those.  `pin` sets
+    both from vertex 0's star.  `completions` counts every pool with no
+    open ridge, also those that close on fewer vertices than the census
+    asks for, which its `on_complete` drops.
     """
 
-    def __init__(self, d: int, max_vertices: int, max_facets: int, min_seal: int = 0):
+    def __init__(self, d: int, max_vertices: int):
         self.d = d
-        self.max_vertices = max_vertices
-        self.max_facets = max_facets
-        self.min_seal = min_seal
+        self.max_vertices = n = max_vertices
+        # the most ridges at a vertex (edges of its link) a manifold allows,
+        # and the facet budget of the module docstring
+        self.ridge_cap = 18 if d == 3 else n - 1
+        self.max_facets = 2 * n - 4 if d == 2 else n * (n - 3) // 2
+        self.min_seal = 0
         self.min_type: tuple = ()
         self.table = _facet_table(d)
         self.pairs = _pair_table(d)
@@ -196,11 +205,6 @@ class _ClosureSearch:
         self.rfull = 0
         self.used = 0
         self._saved: list[tuple[int, ...]] = []
-        # bounds a manifold vertex or edge link allows on <= 9 vertices: facets
-        # at a vertex, ridges at a vertex (edges of its link) and facets at a pair
-        self.vertex_cap = 12 if d == 3 else max_vertices - 1
-        self.ridge_cap = 18 if d == 3 else max_vertices - 1
-        self.pair_cap = 7
         self.nodes = 0
         self.completions = 0
         self.degree_prunes = 0
@@ -216,8 +220,18 @@ class _ClosureSearch:
 
     # -- mutation ---------------------------------------------------------
 
+    def pin(self, star: Iterable[int]) -> None:
+        """Insert vertex 0's closed star, so that every other vertex must seal
+        with at least as many facets, and with as many, no smaller link type."""
+        star = tuple(star)
+        self.min_seal = len(star)
+        for f in star:
+            ok = self.try_add(f)
+            assert ok, "a pinned star must always insert cleanly"
+        self.min_type = self._link_type(0, self.facets)
+
     def try_add(self, fmask: int) -> bool:
-        """Add one facet if every cap and seal check allows it.
+        """Add one facet if the ridge cap and every seal check allow it.
 
         The caller has ruled out a full pool, a facet already present and a
         ridge of it already in two facets; False leaves the state untouched.
@@ -227,22 +241,16 @@ class _ClosureSearch:
         present = self.present | ridges
         rfull = self.rfull
         for b, through in at_vertices:
-            mine = facets & through
-            if mine and not open_ & through:
+            if facets & through and not open_ & through:
                 return False  # sealed vertex link
-            if mine.bit_count() >= self.vertex_cap:
-                return False
             edges = (present & through).bit_count()
             if edges > self.ridge_cap:
                 return False
             if edges == self.ridge_cap:
                 rfull |= 1 << b
         for _, through in at_pairs:
-            mine = facets & through
-            if mine and not open_ & through:
+            if facets & through and not open_ & through:
                 return False  # sealed edge link
-            if mine.bit_count() >= self.pair_cap:
-                return False
         facets |= 1 << fmask
         open_ ^= ridges
         dead = self.dead
@@ -285,7 +293,9 @@ class _ClosureSearch:
 
     def _link_type(self, b: int, facets: int) -> tuple[int, tuple[int, ...]]:
         """Vertex b's link type in the pool `facets`: its facet count and the
-        sorted facet counts at the 8 pairs {b, w}, its link's vertex degrees."""
+        sorted facet counts at the 8 pairs {b, w}, its link's vertex degrees.
+        In d = 2 no pairs are counted and every type is (0, ()): a sealed
+        cycle link is fixed by its length, which `min_seal` already orders."""
         counts = sorted((facets & through).bit_count() for through in self.pairs[b])
         return sum(counts) // 3, tuple(counts)
 
@@ -405,10 +415,8 @@ def enumerate_two_spheres(n: int) -> CensusResult:
     stats = {"nodes": 0, "completions": 0, "isomorph_rejections": 0}
     on_complete = _dedupe(n, found, stats)
     for k in range(3, n):
-        search = _ClosureSearch(d=2, max_vertices=n, max_facets=2 * n - 4, min_seal=k)
-        for i in range(1, k + 1):
-            ok = search.try_add(1 | 1 << i | 1 << (i % k + 1))
-            assert ok, "a pinned cycle star must always insert cleanly"
+        search = _ClosureSearch(d=2, max_vertices=n)
+        search.pin(1 | 1 << i | 1 << (i % k + 1) for i in range(1, k + 1))
         search.run(on_complete)
         stats["nodes"] += search.nodes
         stats["completions"] += search.completions
@@ -427,12 +435,8 @@ def _census_task(task: tuple[tuple[int, ...], tuple[int, ...]]):
     3-manifolds in which vertex 0 has least link type.  Safe to run in a
     worker process."""
     masks, perm = task
-    # a 2-sphere on m vertices has 2m - 4 triangles, the least seal allowed
-    search = _ClosureSearch(d=3, max_vertices=MAX_N, max_facets=27, min_seal=len(masks))
-    for fm in masks:
-        ok = search.try_add(1 | sum(2 << perm[b] for b in _bits(fm)))
-        assert ok, "a census 2-sphere star must always insert cleanly"
-    search.min_type = search._link_type(0, search.facets)
+    search = _ClosureSearch(d=3, max_vertices=MAX_N)
+    search.pin(1 | sum(2 << perm[b] for b in _bits(fm)) for fm in masks)
     found: dict[bytes, SimplicialComplex] = {}
     stats = {"isomorph_rejections": 0}
     search.run(_dedupe(MAX_N, found, stats))

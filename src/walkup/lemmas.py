@@ -42,16 +42,14 @@ class CandidateGraph:
 class CocliqueCensus:
     """Maximal cocliques of a candidate graph, grouped by size.
 
-    The covering views keep only families whose members jointly contain
-    every triangle of the base sphere; those are the candidates for the
-    facet collections arising in the degree-raising analysis, and they are
-    what the published case lists enumerate.
+    The covering view keeps only families whose members jointly contain
+    every triangle of the base sphere, one per Aut-orbit; those are the
+    candidates for the facet collections arising in the degree-raising
+    analysis, and they are what the published case lists enumerate.
     """
 
     by_size: dict[int, list[SetFamily]]
-    covering_by_size: dict[int, list[SetFamily]]
     covering_orbit_reps: dict[int, list[SetFamily]]
-    group_order: int
 
     def covering_orbit_count(self, size: int) -> int:
         return len(self.covering_orbit_reps.get(size, []))
@@ -177,16 +175,15 @@ def coclique_census(X: SimplicialComplex) -> CocliqueCensus:
     by_size: dict[int, list[SetFamily]] = {}
     for fam in families:
         by_size.setdefault(len(fam), []).append(fam)
-    covering_by_size = {
-        s: [f for f in fams if covers_all_triangles(X, f)]
-        for s, fams in by_size.items()
+    covering = {
+        s: [f for f in fams if covers_all_triangles(X, f)] for s, fams in by_size.items()
     }
-    covering_by_size = {s: fams for s, fams in covering_by_size.items() if fams}
     covering_orbit_reps = {
         s: [orb.representative for orb in orbits(group, fams)]
-        for s, fams in covering_by_size.items()
+        for s, fams in covering.items()
+        if fams
     }
-    return CocliqueCensus(by_size, covering_by_size, covering_orbit_reps, group.order)
+    return CocliqueCensus(by_size, covering_orbit_reps)
 
 
 # -- facet degree ledger and the 28/29 dichotomy -------------------------------

@@ -111,15 +111,17 @@ def is_pseudomanifold(K: SimplicialComplex) -> bool:
     return pseudomanifold_witness(K) is None
 
 
-def _is_two_sphere_masks(masks: Sequence[int]) -> bool:
-    """Whether distinct triangle masks (any vertex ids) form a 2-sphere: every
-    edge in two triangles, so each vertex link is a cycle once connected; the
-    whole connected; and Euler characteristic 2."""
+def _surface_defect(masks: Sequence[int]) -> int | None:
+    """None when distinct face masks (any vertex ids) form a closed connected
+    surface, else the first failing face: a non-triangle, the least edge not
+    in exactly two triangles, the least vertex with a disconnected link, or
+    the first face when the whole is disconnected.  Once every edge lies in
+    two triangles, each vertex link is a cycle exactly when connected."""
     edges: dict[int, int] = {}
     links: dict[int, list[int]] = {}  # vertex -> the edges of its link
     for t in masks:
         if t.bit_count() != 3:
-            return False
+            return t
         for b in _bits(t):
             e = t ^ (1 << b)
             edges[e] = edges.get(e, 0) + 1
@@ -127,28 +129,29 @@ def _is_two_sphere_masks(masks: Sequence[int]) -> bool:
                 links[b].append(e)
             else:
                 links[b] = [e]
-    if len(links) - len(edges) + len(masks) != 2 or any(c != 2 for c in edges.values()):
-        return False
-    return _connected(masks) and all(_connected(link) for link in links.values())
+    bad = [e for e, c in edges.items() if c != 2]
+    if bad:
+        return min(bad)
+    bad = [b for b, link in links.items() if not _connected(link)]
+    if bad:
+        return 1 << min(bad)
+    return None if _connected(masks) else masks[0]
+
+
+def _is_two_sphere_masks(masks: Sequence[int]) -> bool:
+    """Whether distinct triangle masks form a closed connected surface with
+    Euler characteristic V - F/2 = 2 (every edge lies in two triangles)."""
+    vertices = 0
+    for t in masks:
+        vertices |= t
+    return 2 * vertices.bit_count() - len(masks) == 4 and _surface_defect(masks) is None
 
 
 def closed_surface_witness(K: SimplicialComplex) -> frozenset[str] | None:
     if K.dim != 2:
         return K.face_labels(K.facet_masks[0]) if K.facet_masks else frozenset()
-    bad = _purity_witness(K)
-    if bad is not None:
-        return K.face_labels(bad)
-    counts = K.stars(2)[0]
-    for em in sorted(counts):
-        if counts[em] != 2:
-            return K.face_labels(em)
-    # every edge lies in two triangles, so a vertex link is a cycle when connected
-    for b, v in enumerate(K.labels):
-        if not _connected(K.link_masks(1 << b)):
-            return frozenset([v])
-    if not _connected(K.facet_masks):
-        return K.face_labels(K.facet_masks[0])
-    return None
+    bad = _surface_defect(K.facet_masks)
+    return None if bad is None else K.face_labels(bad)
 
 
 def is_two_sphere(K: SimplicialComplex) -> bool:
@@ -298,7 +301,8 @@ def recognition_report(K: SimplicialComplex) -> RecognitionReport:
     if not closed_surface:
         witnesses.append(("is_closed_surface", surf_bad))
 
-    two_sphere = K.dim == 2 and _is_two_sphere_masks(K.facet_masks)
+    # a closed surface is connected, so it is a 2-sphere when chi = V - F/2 = 2
+    two_sphere = closed_surface and 2 * K.vertex_count - len(K.facet_masks) == 4
     if not two_sphere:
         witnesses.append(("is_two_sphere", surf_bad if surf_bad is not None else lead))
 

@@ -133,7 +133,8 @@ def test_closure_search_rejects_a_seal_below_min_seal():
     vertex 0 closes vertex 0's star with four facets.  With min_seal = 5 that
     facet is refused and the state is left as it was; with 4 it is accepted."""
     facets = (0b01111, 0b10111, 0b11011, 0b11101, 0b11110)
-    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27, min_seal=5)
+    search = _ClosureSearch(d=3, max_vertices=9)
+    search.min_seal = 5
     for f in facets[:3]:
         assert search.try_add(f)
     before = (search.facets, search.present, search.open, search.cn, search.used)
@@ -141,7 +142,8 @@ def test_closure_search_rejects_a_seal_below_min_seal():
     assert (search.facets, search.present, search.open, search.cn, search.used) == before
     assert search.degree_prunes == 1
 
-    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27, min_seal=4)
+    search = _ClosureSearch(d=3, max_vertices=9)
+    search.min_seal = 4
     assert all(search.try_add(f) for f in facets)
     assert search.open == 0 and search.degree_prunes == 0
 
@@ -159,9 +161,8 @@ def _seal_in_suspension(S: SimplicialComplex, anchor: int, sealer: int):
         for m in S.facet_masks
     ]
     sealer = swap.get(sealer, sealer)
-    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27, min_seal=10)
-    assert all(search.try_add(f) for f in facets if f & 1)
-    search.min_type = search._link_type(0, search.facets)
+    search = _ClosureSearch(d=3, max_vertices=9)
+    search.pin(f for f in facets if f & 1)
     rest = [f for f in facets if not f & 1 and f >> sealer & 1]
     assert all(search.try_add(f) for f in rest[:-1])
     return search, rest[-1], sealer
@@ -208,7 +209,7 @@ def test_closure_search_refuses_a_pair_link_of_two_triangles():
     def star(edges):
         return [0b11 | 1 << a | 1 << b for a, b in edges]
 
-    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27)
+    search = _ClosureSearch(d=3, max_vertices=9)
     two_triangles = star([(5, 6), (6, 7), (2, 3), (3, 4), (2, 4), (5, 7)])
     for f in two_triangles[:5]:
         assert search.try_add(f)
@@ -216,7 +217,7 @@ def test_closure_search_refuses_a_pair_link_of_two_triangles():
     assert not search.try_add(two_triangles[5])
     assert (search.facets, search.present, search.open, search.cn, search.used) == before
 
-    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27)
+    search = _ClosureSearch(d=3, max_vertices=9)
     assert all(search.try_add(f) for f in star([(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 2)]))
     assert all(r & 0b11 != 0b11 for r in _iter_bits(search.open))
 
@@ -234,10 +235,11 @@ def _ridge_word(search: _ClosureSearch, ridges: int) -> int:
 
 
 def _dead_and_full(search: _ClosureSearch) -> tuple[int, int]:
-    """The vertex masks of the dead vertices (sealed, or with `vertex_cap`
-    facets) and of those with `ridge_cap` ridges, counted from the pool.  The
-    search keeps only the sealed ones: the ridge cap seals a vertex at the
-    facet cap, which `_check_state` confirms by comparing the two."""
+    """The vertex masks of the dead vertices (sealed, or with 12 facets, n - 1
+    in d = 2) and of those with `ridge_cap` ridges, counted from the pool.
+    The search keeps only the sealed ones: the ridge cap seals a vertex at
+    that facet count, which `_check_state` confirms by comparing the two."""
+    vertex_cap = 12 if search.d == 3 else search.max_vertices - 1
     facets = list(_iter_bits(search.facets))
     open_ = list(_iter_bits(search.open))
     present = list(_iter_bits(search.present))
@@ -245,7 +247,7 @@ def _dead_and_full(search: _ClosureSearch) -> tuple[int, int]:
     for b in range(9):
         count = sum(f >> b & 1 for f in facets)
         sealed = count and not any(r >> b & 1 for r in open_)
-        if sealed or count == search.vertex_cap:
+        if sealed or count == vertex_cap:
             dead |= 1 << b
         if sum(r >> b & 1 for r in present) == search.ridge_cap:
             full |= 1 << b
@@ -280,11 +282,20 @@ def _filter_keeps(search: _ClosureSearch, ridge: int) -> int:
 
 
 def _check_state(search: _ClosureSearch) -> None:
-    """`cn`, `pw`, `dead` and `rfull` match their rebuilds; no open ridge
-    holds a dead vertex; each open ridge's candidate mask is what the
-    per-vertex filter keeps, plus possibly the vertex of the facet holding
-    the ridge; and `_choose` takes the first ridge with at most one
-    candidate, or else the least ridge with fewest."""
+    """The bounds the ridge cap implies hold: at most 12 facets at a vertex
+    (n - 1 in d = 2), at most 7 at a pair, and, in d = 3, no open ridge in a
+    pool of `max_facets` facets.  `cn`, `pw`, `dead` and `rfull` match their
+    rebuilds; no open ridge holds a dead vertex; each open ridge's candidate
+    mask is what the per-vertex filter keeps, plus possibly the vertex of the
+    facet holding the ridge; and `_choose` takes the first ridge with at
+    most one candidate, or else the least ridge with fewest."""
+    facets = list(_iter_bits(search.facets))
+    vertex_cap = 12 if search.d == 3 else search.max_vertices - 1
+    assert all(sum(f >> b & 1 for f in facets) <= vertex_cap for b in range(9))
+    pairs = [1 << a | 1 << b for a, b in combinations(range(9), 2)]
+    assert all(sum(f & p == p for f in facets) <= 7 for p in pairs)
+    if search.d == 3 and len(facets) >= search.max_facets:
+        assert search.open == 0
     assert search.cn == _ridge_word(search, search.present & ~search.open)
     assert search.pw == _ridge_word(search, search.present)
     assert (search.dead, search.rfull) == _dead_and_full(search)
@@ -357,13 +368,14 @@ def _seeded_walk(
 @pytest.mark.parametrize("seed", [0, 1])
 def test_closed_neighbour_word_follows_try_add_and_undo(seed):
     link = enumerate_two_spheres(8).complexes[seed * 7]
-    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27, min_seal=12)
+    search = _ClosureSearch(d=3, max_vertices=9)
+    search.min_seal = 12
     for fm in link.facet_masks:
         assert search.try_add(1 | fm << 1)
     accepted, refused, undone = _seeded_walk(search, seed, 300)
     assert accepted > 30 and refused > 5 and undone > 30
 
-    search = _ClosureSearch(d=2, max_vertices=8, max_facets=12)
+    search = _ClosureSearch(d=2, max_vertices=8)
     assert search.try_add(0b111)
     accepted, refused, undone = _seeded_walk(search, seed, 300)
     assert accepted > 30 and undone > 30
@@ -375,15 +387,35 @@ def test_filter_drops_only_what_try_add_refuses(seed):
     take out of a ridge's candidates is refused by `try_add`."""
     drops = []
     link = enumerate_two_spheres(8).complexes[seed * 7]
-    search = _ClosureSearch(d=3, max_vertices=9, max_facets=27, min_seal=12)
+    search = _ClosureSearch(d=3, max_vertices=9)
+    search.min_seal = 12
     for fm in link.facet_masks:
         assert search.try_add(1 | fm << 1)
     _seeded_walk(search, seed, 150, check=lambda s: drops.append(_check_drops(s)))
 
-    search = _ClosureSearch(d=2, max_vertices=8, max_facets=12)
+    search = _ClosureSearch(d=2, max_vertices=8)
     assert search.try_add(0b111)
     _seeded_walk(search, seed, 150, check=lambda s: drops.append(-_check_drops(s)))
     assert sum(d for d in drops if d > 0) > 50 and sum(d for d in drops if d < 0) < -50
+
+
+def test_facet_budget_cuts_no_branch_in_d3():
+    """27 facets on 9 vertices seal every vertex, so in the searches of the
+    neighbourly census every node holding `max_facets` facets is a
+    completion, a state the seeded walks never reach."""
+    full = []
+
+    class Watched(_ClosureSearch):
+        def run(self, on_complete):
+            if self.facets.bit_count() >= self.max_facets:
+                full.append(self.open)
+            super().run(on_complete)
+
+    for link in enumerate_two_spheres(8).complexes:
+        search = Watched(d=3, max_vertices=9)
+        search.pin(1 | fm << 1 for fm in link.facet_masks)
+        search.run(lambda s: None)
+    assert full and not any(full)
 
 
 def _link_type(L: SimplicialComplex) -> tuple[int, tuple[int, ...]]:

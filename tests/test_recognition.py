@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -232,6 +234,23 @@ def _ref_non_neighbourly(K):
         (frozenset(c) for c in combinations(K.labels, size) if not any(set(c) <= f for f in F)),
         None,
     )
+
+
+def test_recognition_reports_are_frozen(k39, torus7, rp2):
+    """`recognition_report(K).as_dict()`, every value and every witness in
+    order, equals the recorded report for each named complex, the torus,
+    RP^2, and complexes with each kind of surface defect: a missing facet
+    (an edge in one triangle), two disjoint or pinched tetrahedron
+    boundaries (a disconnected whole or vertex link) and a non-pure one."""
+    expected = json.loads((Path(__file__).parent / "recognition_reports.json").read_text())
+    pool = dict(constructions.named_complexes(), torus7=torus7, rp2=rp2)
+    pool["k39-facet"] = from_facets(k39.facets()[1:])
+    pool["k27-facet"] = from_facets(constructions.walkup_complex(2).facets()[1:])
+    tet = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
+    pool["two-tetrahedra"] = from_facets(tet + [[v + 4 for v in f] for f in tet])
+    pool["pinched-tetrahedra"] = from_facets(tet + [[v + 3 for v in f] for f in tet])
+    pool["non-pure"] = from_facets(tet + [[4, 5]])
+    assert {name: recognition.recognition_report(K).as_dict() for name, K in pool.items()} == expected
 
 
 def test_three_manifold_recognition_matches_a_reference(kernel_pool):
