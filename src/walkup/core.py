@@ -4,8 +4,14 @@ Vertices are kept as display labels (strings such as ``1``, ``x`` or ``5'``)
 and normalized internally to dense ids 0..n-1.  Every face is a bitmask over
 those ids, so subset tests, links and joins are single machine-word
 operations.  Complexes are immutable values: every operation returns a new
-complex.  The face set and the per-dimension face lists are built from a
-table of each facet's subfaces on first use and cached write-once.
+complex.
+
+Each complex keeps one star table per face size, built on first use in one
+pass over the facets' subfaces and cached write-once: for every k-vertex
+face, the number of facets through it and their union.  Face lists, the
+f-vector and face membership are read off these tables, so the recognition
+predicates, the pair degrees of the canonical search and the homology
+boundaries share one pass per face size instead of each building its own.
 """
 
 from __future__ import annotations
@@ -89,15 +95,14 @@ class SimplicialComplex:
     in 0..n-1 following the canonical label order.
     """
 
-    __slots__ = ("facet_masks", "labels", "dim", "_index", "_face_set", "_faces_cache", "_search_cache")
+    __slots__ = ("facet_masks", "labels", "dim", "_index", "_stars", "_search_cache")
 
     def __init__(self, facet_masks: tuple[int, ...], labels: tuple[str, ...]):
         self.facet_masks = facet_masks
         self.labels = labels
         self.dim = max((m.bit_count() for m in facet_masks), default=0) - 1
         self._index = {lab: i for i, lab in enumerate(labels)}
-        self._face_set: set[int] | None = None  # every face mask, built on first use
-        self._faces_cache: dict[int, tuple[int, ...]] = {}
+        self._stars: dict[int, tuple[dict[int, int], dict[int, int]]] = {}  # stars(size), written once
         self._search_cache = None  # isomorphism._search(self), written once
 
     # -- construction ------------------------------------------------------
@@ -145,9 +150,7 @@ class SimplicialComplex:
         return frozenset([self.labels[b] for b in _bits(mask)])
 
     def has_face_mask(self, mask: int) -> bool:
-        if self._face_set is None:  # write-once; safe to race
-            self._face_set = set().union(*(sub for f in self.facet_masks for sub in _subfaces(f)))
-        return mask in self._face_set
+        return mask in self.stars(mask.bit_count())[0]
 
     def _face_mask(self, face: Face) -> int:
         """The mask of `face`, which must be a face of the complex."""
@@ -170,17 +173,14 @@ class SimplicialComplex:
         """All i-face masks, sorted by bitmask value."""
         if i < 0 or i > self.dim:
             raise PreconditionError(f"face dimension {i} out of range 0..{self.dim}")
-        cached = self._faces_cache.get(i)
-        if cached is None:
-            cached = tuple(sorted(set().union(*(_subfaces(f)[i + 1] for f in self.facet_masks))))
-            self._faces_cache[i] = cached  # write-once; safe to race
-        return cached
+        return tuple(sorted(self.stars(i + 1)[0]))
 
     def faces(self, i: int) -> list[frozenset[str]]:
         return [self.face_labels(m) for m in self.faces_masks(i)]
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self.faces_masks(i)) for i in range(self.dim + 1))
+        # every vertex lies in a facet, so f_0 needs no star table
+        return tuple(len(self.stars(i + 1)[0]) if i else self.vertex_count for i in range(self.dim + 1))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * fi for i, fi in enumerate(self.f_vector()))
@@ -254,14 +254,20 @@ class SimplicialComplex:
 
     def stars(self, size: int) -> tuple[dict[int, int], dict[int, int]]:
         """For every face with `size` vertices, in one pass over the facets:
-        the number of facets through it, and the union of those facets."""
-        count: dict[int, int] = {}
-        union: dict[int, int] = {}
-        for f in self.facet_masks:
-            for a in _subfaces(f)[size]:
-                count[a] = count.get(a, 0) + 1
-                union[a] = union.get(a, 0) | f
-        return count, union
+        the number of facets through it, and the union of those facets.
+
+        The table is built once per size and kept on the complex; every
+        caller gets the same two dicts, which are read-only."""
+        table = self._stars.get(size)
+        if table is None:
+            count: dict[int, int] = {}
+            union: dict[int, int] = {}
+            for f in self.facet_masks:
+                for a in _subfaces(f)[size]:
+                    count[a] = count.get(a, 0) + 1
+                    union[a] = union.get(a, 0) | f
+            table = self._stars[size] = (count, union)  # write-once; safe to race
+        return table
 
     def degree(self, face: Face) -> int:
         return self.link(face).vertex_count

@@ -2,16 +2,30 @@
 
 Face boundaries carry signs from the ascending-vertex orientation.
 `homology` never builds the edge boundary: its rank is n minus the number
-of components, and H0 is free.  For the boundaries of 2-faces and 3-faces it reduces each
-face's signed boundary (cached per face mask, keyed by the masks of its
-boundary faces) as it arrives against a table mapping each pivot column to
-the row holding 1 there (Dumas, Heckenbach, Saunders and Welker, Computing
-simplicial homology based on efficient Smith normal form algorithms, 2003).
-A row left with a +-1 entry becomes a pivot, with invariant factor 1, and
-boundary matrices of manifolds are nearly all such pivots.  The few other
-rows go to the dense `smith_normal_form`, which works modulo twice a
-non-zero maximal minor, so its entries stay bounded.  Invariant factors are
-unique, so the split changes no result.
+of components, and H0 is free.  For the boundaries of higher faces it
+reduces each face's signed boundary (cached per face mask, keyed by the
+masks of its boundary faces) as it arrives against a table mapping each
+pivot column to the row holding 1 there (Dumas, Heckenbach, Saunders and
+Welker, Computing simplicial homology based on efficient Smith normal form
+algorithms, 2003).  A row left with a +-1 entry becomes a pivot, with
+invariant factor 1, and boundary matrices of manifolds are nearly all such
+pivots.  The few other rows go to the dense `smith_normal_form`, which
+works modulo twice a non-zero maximal minor, so its entries stay bounded.
+Invariant factors are unique, so the split changes no result.
+
+The boundaries are reduced from the top dimension down, with clearing
+(Chen and Kerber, Persistent homology computation with a twist, 2011;
+Bauer, Kerber and Reininghaus, Clear and compress, 2014): an i-face that
+became a pivot column while the boundary of the (i+1)-faces was reduced
+gives no row of the boundary of the i-faces.  The pivot row of such a
+face c is a boundary, so its own boundary is 0; the row is 1 at c and 0 at
+the pivot columns found before c.  So the boundary of c is an integer
+combination of the boundaries of later pivot columns and of faces that are
+no pivot column, and back-substitution from the last pivot makes every
+dropped row an integer combination of the kept ones.  Dropping them is a
+unimodular row operation followed by deleting zero rows, which keeps the
+rank and the invariant factors.  On a neighbourly 9-vertex 3-sphere the
+boundary of the triangles keeps 28 of its 54 rows.
 """
 
 from __future__ import annotations
@@ -152,23 +166,18 @@ def _reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]) -> None:
         hits = row.keys() & pivots.keys()
 
 
-def _sparse_smith(rows: Iterable[dict[int, int] | tuple[tuple[int, int], ...]]) -> tuple[list[int], int]:
-    """`smith_normal_form` of the matrix with these rows, each {column: entry}
-    or its (column, entry) pairs.
+def _eliminate(
+    rows: Iterable[dict[int, int] | tuple[tuple[int, int], ...]],
+) -> tuple[dict[int, dict[int, int]], Matrix]:
+    """The pivot table and the dense residual core of the matrix with these
+    rows, each {column: entry} or its (column, entry) pairs.
 
     Each row, as it arrives, is reduced against the pivot table, which maps
     a pivot column to the row holding 1 there.  A row left with a +-1 entry
     becomes the pivot of that column, negated if the entry is -1; any other
     non-empty row joins the residual rows.  At the end the residual rows are
-    reduced against the pivots found after them, and what is left goes to
-    the dense routine.  Only multiples of pivot rows were added to other
-    rows, so the matrix is row-equivalent to the pivot rows over the
-    residual rows.  On the pivot columns, in the order the pivots were
-    found, the pivot rows are unit upper-triangular, and the residual rows
-    are zero there.  Column operations therefore clear the pivot rows
-    outside the pivot columns, then reduce that triangle to the identity,
-    without touching the residual rows: the normal form is the block sum of
-    an identity and SNF(residual).
+    reduced against the pivots found after them, and the non-empty ones are
+    returned as a dense matrix over the columns they use.
     """
     pivots: dict[int, dict[int, int]] = {}
     residual: list[dict[int, int]] = []
@@ -185,7 +194,23 @@ def _sparse_smith(rows: Iterable[dict[int, int] | tuple[tuple[int, int], ...]]) 
         _reduce(row, pivots)
     core = [row for row in residual if row]
     cols = sorted({c for row in core for c in row})
-    factors, rank = smith_normal_form([[row.get(c, 0) for c in cols] for row in core])
+    return pivots, [[row.get(c, 0) for c in cols] for row in core]
+
+
+def _sparse_smith(rows: Iterable[dict[int, int] | tuple[tuple[int, int], ...]]) -> tuple[list[int], int]:
+    """`smith_normal_form` of the matrix with these rows, by `_eliminate`.
+
+    Only multiples of pivot rows were added to other rows, so the matrix is
+    row-equivalent to the pivot rows over the residual rows.  On the pivot
+    columns, in the order the pivots were found, the pivot rows are unit
+    upper-triangular, and the residual rows are zero there.  Column
+    operations therefore clear the pivot rows outside the pivot columns,
+    then reduce that triangle to the identity, without touching the
+    residual rows: the normal form is the block sum of an identity and
+    SNF(residual).
+    """
+    pivots, core = _eliminate(rows)
+    factors, rank = smith_normal_form(core)
     return [1] * len(pivots) + factors, len(pivots) + rank
 
 
@@ -217,10 +242,14 @@ def homology(K: SimplicialComplex) -> HomologyProfile:
     ranks = [0] * (d + 2)
     ranks[1] = K.vertex_count - _components(K.facet_masks)
     torsion: list[tuple[int, ...]] = [()] * (d + 1)
-    for i in range(2, d + 1):
-        # the rows are the i-faces: the transpose, with the same factors
-        factors, rank = _sparse_smith(_face_boundary(cm) for cm in K.faces_masks(i))
-        ranks[i] = rank
+    pivots: dict[int, dict[int, int]] = {}
+    for i in range(d, 1, -1):
+        # the rows are the i-faces (the transpose, with the same factors),
+        # less those that were pivot columns of the boundary one dimension up
+        rows = [_face_boundary(cm) for cm in K.faces_masks(i) if cm not in pivots]
+        pivots, core = _eliminate(rows)
+        factors, rank = smith_normal_form(core)
+        ranks[i] = len(pivots) + rank
         torsion[i - 1] = tuple(f for f in factors if f > 1)
     betti = tuple(fvec[i] - ranks[i] - ranks[i + 1] for i in range(d + 1))
     return HomologyProfile(betti, tuple(torsion))

@@ -31,6 +31,19 @@ automorphisms harvested below the node generate the stabiliser of its
 individualised vertices, and |Aut| is the product, along the first path, of
 the orbit length of each individualised vertex under the harvested
 automorphisms that fix those before it.
+
+`are_isomorphic(K, L)` needs only K's least encoding t from L's tree.  L's
+search runs as above but stops at its first leaf with an encoding at most
+t: equal means L is isomorphic to K, below means it is not.  The best leaf
+is replaced only on a strict decrease, so L's canonical ordering comes from
+the first leaf met that reaches L's least encoding, which is t when the two
+are isomorphic: the early stop returns that same ordering, and the witness
+is the one the two full canonical forms give.  The nodes visited are a
+prefix of the full search's, so the stop never costs a node.  Subtrees whose
+bound exceeds t are not dropped beyond the bound on the best encoding: with
+no leaf above t met, no automorphism would be harvested, and orbit pruning
+would be lost on a symmetric L that is not isomorphic to K.  A search that
+meets no leaf at most t is the full search and is kept on L.
 """
 
 from __future__ import annotations
@@ -162,8 +175,12 @@ def _orbit(seeds: list[int], autos: list[tuple[int, ...]], fixed: tuple[int, ...
 Search = tuple[tuple[int, ...], list[int], list[tuple[int, ...]], int]
 
 
-def _search(K: SimplicialComplex) -> Search:
-    """(least encoding, an ordering achieving it, harvested automorphisms, |Aut|)."""
+def _search(K: SimplicialComplex, stop: tuple[int, ...] | None = None) -> Search:
+    """(least encoding, an ordering achieving it, harvested automorphisms, |Aut|).
+
+    Given `stop`, the search ends at the first leaf whose encoding is at most
+    `stop` and returns that leaf's encoding and ordering, with |Aut| 0; a
+    search that returns an encoding above `stop` ran to the end."""
     n = K.vertex_count
     verts = [_bits(fm) for fm in K.facet_masks]
     pd = _pair_degrees(K)
@@ -179,7 +196,7 @@ def _search(K: SimplicialComplex) -> Search:
 
     def recurse(cells: list[list[int]], path: tuple[int, ...]) -> int:
         """Search below the node that individualised `path`; return the depth
-        of the node that goes on with its next child."""
+        of the node that goes on with its next child, or -1 to stop."""
         depth = len(path)
         bound = _least_encoding(cells, verts, n)
         if best and bound > best[0]:
@@ -191,7 +208,7 @@ def _search(K: SimplicialComplex) -> Search:
                 first_path.extend(path)
             if not best or bound < best[0]:
                 best[:] = [bound, order, path]
-                return depth
+                return -1 if stop is not None and bound <= stop else depth
             g = tuple(w for _, w in sorted(zip(best[1], order)))  # best order's p-th vertex -> order[p]
             if g not in autos:
                 autos.append(g)
@@ -212,7 +229,8 @@ def _search(K: SimplicialComplex) -> Search:
             tried.append(v)
         return depth
 
-    recurse(root, ())
+    if recurse(root, ()) < 0:
+        return best[0], best[1], autos, 0
     order = 1
     for k, v in enumerate(first_path):
         order *= len(_orbit([v], autos, tuple(first_path[:k])))
@@ -243,12 +261,17 @@ def canonical_relabel(K: SimplicialComplex) -> SimplicialComplex:
 def are_isomorphic(
     K: SimplicialComplex, L: SimplicialComplex
 ) -> tuple[bool, dict[str, str] | None]:
-    """Decide isomorphism; on success also return a verified vertex bijection."""
-    cf_k, cf_l = canonical_form(K), canonical_form(L)
-    if cf_k.bytes != cf_l.bytes:
+    """Decide isomorphism; on success also return a verified vertex bijection.
+    L's search stops early when it can (see the module docstring)."""
+    cf_k = canonical_form(K)
+    least = _searched(K)[0]
+    found = L._search_cache or _search(L, least)
+    enc, order = found[0], found[1]
+    if enc > least:
+        L._search_cache = found
+    if enc != least:
         return False, None
-    inverse_l = {cid: lab for lab, cid in cf_l.relabeling.items()}
-    witness = {lab: inverse_l[cid] for lab, cid in cf_k.relabeling.items()}
+    witness = {lab: L.labels[order[cid]] for lab, cid in cf_k.relabeling.items()}
     image = [L._index[witness[lab]] for lab in K.labels]
     mapped = sorted(sum(1 << image[b] for b in _bits(fm)) for fm in K.facet_masks)
     if tuple(mapped) != L.facet_masks:  # facet masks are kept sorted

@@ -75,21 +75,19 @@ def _connected(masks: Sequence[int]) -> bool:
 
 def _unreached_facet(K: SimplicialComplex) -> int | None:
     """The first facet of the pure complex K not reached from the first one
-    across shared ridges."""
-    facets = K.facet_masks
-    through: dict[int, list[int]] = {}  # ridge -> the indices of the facets through it
-    for j, f in enumerate(facets):
-        for r in _subfaces(f)[K.dim]:
-            through.setdefault(r, []).append(j)
-    seen = {0}
-    stack = [0]
+    across shared ridges.  Every ridge must lie in exactly two facets, f and
+    g, so the union u of its star gives the other one as g = u ^ f ^ r."""
+    union = K.stars(K.dim)[1]
+    seen = {K.facet_masks[0]}
+    stack = [K.facet_masks[0]]
     while stack:
-        for r in _subfaces(facets[stack.pop()])[K.dim]:
-            for j in through[r]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-    return next((f for j, f in enumerate(facets) if j not in seen), None)
+        f = stack.pop()
+        for r in _subfaces(f)[K.dim]:
+            g = union[r] ^ f ^ r
+            if g not in seen:
+                seen.add(g)
+                stack.append(g)
+    return next((f for f in K.facet_masks if f not in seen), None)
 
 
 def pseudomanifold_witness(K: SimplicialComplex) -> frozenset[str] | None:
@@ -162,10 +160,13 @@ def is_two_sphere(K: SimplicialComplex) -> bool:
 
 
 def _singular(K: SimplicialComplex) -> Iterator[str]:
-    """The vertices whose links are not 2-spheres, in label order."""
-    return (
-        v for b, v in enumerate(K.labels) if not _is_two_sphere_masks(K.link_masks(1 << b))
-    )
+    """The vertices whose links are not 2-spheres, in label order.  Every
+    vertex link is gathered in one pass over the facets."""
+    links: list[list[int]] = [[] for _ in K.labels]
+    for f in K.facet_masks:
+        for b in _bits(f):
+            links[b].append(f ^ (1 << b))
+    return (v for v, link in zip(K.labels, links) if not _is_two_sphere_masks(link))
 
 
 def is_combinatorial_3_manifold(K: SimplicialComplex) -> bool:
@@ -185,9 +186,10 @@ def is_neighbourly(K: SimplicialComplex) -> bool:
 
 def non_neighbourly_witness(K: SimplicialComplex) -> frozenset[str] | None:
     size = K.dim // 2 + 1
+    faces = K.stars(size)[0]
     for c in combinations(range(K.vertex_count), size):
         mask = sum(1 << b for b in c)
-        if not K.has_face_mask(mask):
+        if mask not in faces:
             return K.face_labels(mask)
     return None
 

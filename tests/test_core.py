@@ -262,6 +262,28 @@ def test_antichain_matches_a_pairwise_filter(masks):
     assert _antichain(masks) == expected
 
 
+@given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=10))
+def test_star_table_matches_a_subset_oracle(facet_sets):
+    """`stars(k)`, `faces_masks(i)` and `has_face_mask(m)` for every mask m
+    below 2**n agree with the faces as frozensets of the facets' subsets."""
+    K = from_facets(facet_sets)
+    n = K.vertex_count
+    facets = [frozenset(K._index[str(v)] for v in f) for f in K.facets()]
+    faces = {frozenset(c) for f in facets for k in range(1, len(f) + 1) for c in combinations(f, k)}
+    mask = lambda face: sum(1 << v for v in face)  # noqa: E731
+    for k in range(n + 2):
+        count, union = K.stars(k)
+        through = {face: [f for f in facets if face <= f] for face in faces if len(face) == k}
+        assert count == {mask(a): len(fs) for a, fs in through.items()}
+        assert union == {mask(a): mask(frozenset().union(*fs)) for a, fs in through.items()}
+        assert K.stars(k) is K.stars(k)
+    for i in range(K.dim + 1):
+        assert K.faces_masks(i) == tuple(sorted(mask(a) for a in faces if len(a) == i + 1))
+    assert K.f_vector() == tuple(sum(len(a) == i + 1 for a in faces) for i in range(K.dim + 1))
+    for m in range(1 << n):
+        assert K.has_face_mask(m) == (frozenset(v for v in range(n) if m >> v & 1) in faces)
+
+
 # -- the input readers on arbitrary input --------------------------------------
 
 # Labels as the readers meet them: small and large integers, short words, and

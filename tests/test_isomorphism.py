@@ -265,3 +265,94 @@ def test_brute_force_isomorphism_oracle(catalog):
                         expected = True
                         break
             assert are_isomorphic(a, b)[0] == expected
+
+
+def _fresh(K):
+    """An equal complex with no search kept on it."""
+    return K.relabel({})
+
+
+def _full_answer(K, L):
+    """(ok, witness) from the two full canonical forms."""
+    cf_k, cf_l = canonical_form(K), canonical_form(_fresh(L))
+    if cf_k.bytes != cf_l.bytes:
+        return False, None
+    inverse_l = {cid: lab for lab, cid in cf_l.relabeling.items()}
+    return True, {lab: inverse_l[cid] for lab, cid in cf_k.relabeling.items()}
+
+
+@pytest.fixture(scope="module")
+def iso_pairs(neighbourly_census, two_sphere_census, rp2, k39):
+    """(K, L) pairs: two relabellings of every neighbourly class, of rp2, k39
+    and the one-point suspension of k27, and both orders of every pair of
+    distinct census classes with equal f-vectors among the neighbourly
+    classes (consecutive ones) and the 2-spheres on 6..8 vertices."""
+    rng = random.Random(20)
+    k27s = constructions.walkup_complex(2).one_point_suspension("1", "s")
+    named = list(neighbourly_census.complexes) + [rp2, k39, k27s]
+    pairs = [(K, _random_relabel(K, rng)) for K in named for _ in range(2)]
+    classes = list(neighbourly_census.complexes)
+    distinct = list(zip(classes, classes[1:]))
+    spheres = [K for K in two_sphere_census if K.vertex_count >= 6]
+    distinct += [(a, b) for i, a in enumerate(spheres) for b in spheres[i + 1:] if a.vertex_count == b.vertex_count]
+    for a, b in distinct:
+        pairs += [(a, _random_relabel(b, rng)), (b, _random_relabel(a, rng))]
+    return pairs
+
+
+def test_are_isomorphic_matches_the_full_canonical_forms(iso_pairs):
+    """The early-exit search gives the answer and the witness the two full
+    canonical forms give, with L's least encoding below, at and above K's."""
+    below = at = above = 0
+    for K, L in iso_pairs:
+        assert are_isomorphic(K, _fresh(L)) == _full_answer(K, L)
+        enc_k, enc_l = canonical_form(K).bytes, canonical_form(_fresh(L)).bytes
+        below += enc_l < enc_k
+        at += enc_l == enc_k
+        above += enc_l > enc_k
+    assert at == 2 * 54 and below > 50 and above > 50
+
+
+def test_early_exit_visits_no_more_nodes_than_the_full_search(iso_pairs, monkeypatch):
+    """Counted in `_least_encoding` calls, one per node: the search on L that
+    stops early makes no more than a full `_search(L)`, and fewer in all."""
+    from walkup import isomorphism
+
+    calls = [0]
+    real = isomorphism._least_encoding
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(isomorphism, "_least_encoding", counted)
+    early_total = full_total = 0
+    for K, L in iso_pairs:
+        canonical_form(K)
+        calls[0] = 0
+        isomorphism._search(_fresh(L))
+        full = calls[0]
+        calls[0] = 0
+        are_isomorphic(K, _fresh(L))
+        assert calls[0] <= full
+        early_total += calls[0]
+        full_total += full
+    assert early_total < full_total
+
+
+def test_only_a_full_search_is_kept(iso_pairs):
+    """L keeps its search only when no leaf reached K's least encoding, and
+    then it is the full search; a kept search answers the next call."""
+    from walkup import isomorphism
+
+    kept = 0
+    for K, L in iso_pairs:
+        X = _fresh(L)
+        ok, witness = are_isomorphic(K, X)
+        if canonical_form(_fresh(L)).bytes <= canonical_form(K).bytes:
+            assert X._search_cache is None
+        else:
+            assert X._search_cache == isomorphism._search(_fresh(L))
+            assert are_isomorphic(K, X) == (ok, witness) == (False, None)
+            kept += 1
+    assert kept > 50
