@@ -12,6 +12,8 @@ face, the number of facets through it and their union.  Face lists, the
 f-vector and face membership are read off these tables, so the recognition
 predicates, the pair degrees of the canonical search and the homology
 boundaries share one pass per face size instead of each building its own.
+The top faces are facets, so their list and count are read off the sorted
+facet masks with no table.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ def _antichain(masks: Iterable[int]) -> list[int]:
 
 
 class SimplicialComplex:
-    """An antichain of facets over at most 16 labelled vertices.
+    """An antichain of facets over at most 16 labelled vertices, as masks in
+    ascending order.
 
     Downward closure is implicit: a face is any non-empty subset of a facet.
     The vertex set always equals the union of the facets, and ids are dense
@@ -170,17 +173,26 @@ class SimplicialComplex:
         return [self.face_labels(m) for m in self.facet_masks]
 
     def faces_masks(self, i: int) -> tuple[int, ...]:
-        """All i-face masks, sorted by bitmask value."""
+        """All i-face masks, sorted by bitmask value; the top faces are the
+        facets of that size, so they need no star table."""
         if i < 0 or i > self.dim:
             raise PreconditionError(f"face dimension {i} out of range 0..{self.dim}")
+        if i == self.dim:
+            return self._top_faces()
         return tuple(sorted(self.stars(i + 1)[0]))
+
+    def _top_faces(self) -> tuple[int, ...]:
+        size = self.dim + 1
+        return tuple(m for m in self.facet_masks if m.bit_count() == size)
 
     def faces(self, i: int) -> list[frozenset[str]]:
         return [self.face_labels(m) for m in self.faces_masks(i)]
 
     def f_vector(self) -> tuple[int, ...]:
-        # every vertex lies in a facet, so f_0 needs no star table
-        return tuple(len(self.stars(i + 1)[0]) if i else self.vertex_count for i in range(self.dim + 1))
+        # every vertex lies in a facet and every top face is one, so neither
+        # f_0 nor f_dim needs a star table
+        inner = [len(self.stars(i + 1)[0]) for i in range(1, self.dim)]
+        return (self.vertex_count, *inner, len(self._top_faces()))[: self.dim + 1]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * fi for i, fi in enumerate(self.f_vector()))

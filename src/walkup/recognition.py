@@ -217,11 +217,11 @@ def is_collapsible(
     faces = [m for i in range(K.dim + 1) for m in K.faces_masks(i)]
     index = {m: i for i, m in enumerate(faces)}
     nfaces = len(faces)
-    supers_bits = [0] * nfaces
-    for ti, tm in enumerate(faces):
-        for si, sm in enumerate(faces):
-            if sm != tm and sm & tm == tm:
-                supers_bits[ti] |= 1 << si
+    supers_bits = [0] * nfaces  # bit s of entry t: face s properly contains face t
+    for si, sm in enumerate(faces):
+        for size in _subfaces(sm)[1 : sm.bit_count()]:
+            for tm in size:
+                supers_bits[index[tm]] |= 1 << si
     # Euler characteristic is a collapse invariant; a point has chi = 1.
     chi = sum((-1) ** (m.bit_count() - 1) for m in faces)
     if chi != 1:

@@ -6,7 +6,13 @@ import pytest
 
 from walkup import homology, lemmas, recognition
 from walkup.core import PreconditionError, SimplicialComplex, _iter_bits, from_facets
-from walkup.enumeration import _ClosureSearch, enumerate_neighbourly_9_manifolds, enumerate_two_spheres
+from walkup.enumeration import (
+    _census_task,
+    _census_tasks,
+    _ClosureSearch,
+    enumerate_neighbourly_9_manifolds,
+    enumerate_two_spheres,
+)
 from walkup.isomorphism import canonical_form
 
 KNOWN_SPHERE_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14}
@@ -452,8 +458,8 @@ def _mass(complexes) -> int:
 def test_full_census_restricts_to_neighbourly_census(full_census, neighbourly_census):
     full = full_census
     assert full.stats == {
-        "nodes": 132709, "completions": 14536, "isomorph_rejections": 12955,
-        "degree_prunes": 10004, "key_prunes": 5410,
+        "nodes": 118352, "completions": 14536, "isomorph_rejections": 12955,
+        "degree_prunes": 9161, "key_prunes": 4520,
     }
     for K in full.complexes:
         assert recognition.is_combinatorial_3_manifold(K)
@@ -507,8 +513,8 @@ def test_neighbourly_census(k39, neighbourly_census):
     result = neighbourly_census
     assert result.counts == {"total": 51, "sphere": 50, "non_sphere": 1}
     assert result.stats == {
-        "nodes": 21314, "completions": 127, "isomorph_rejections": 76,
-        "degree_prunes": 2760, "key_prunes": 2140,
+        "nodes": 10140, "completions": 127, "isomorph_rejections": 76,
+        "degree_prunes": 1685, "key_prunes": 1388,
     }
     non_spheres = [
         K
@@ -544,6 +550,26 @@ def test_neighbourly_census_base_order_invariance(neighbourly_census):
     assert [K.facet_masks for K in base.complexes] == [
         K.facet_masks for K in shuffled.complexes
     ]
+
+
+@pytest.mark.slow
+def test_census_labelling_changes_only_the_tree():
+    """Task by task, the labelling the neighbourly census pins each 8-vertex
+    seed with finds the same classes, completions and isomorph rejections as
+    the seed's own labels, and its 14 searches visit fewer nodes in all."""
+    tasks = _census_tasks((8,), None)
+    assert len(tasks) == 14
+    nodes = {"identity": 0, "census": 0}
+    for masks, perm in tasks:
+        assert sorted(perm) == list(range(8))
+        found, stats = _census_task((masks, tuple(range(8))))
+        pinned_found, pinned_stats = _census_task((masks, perm))
+        assert pinned_found.keys() == found.keys()
+        for key in ("completions", "isomorph_rejections"):
+            assert pinned_stats[key] == stats[key]
+        nodes["identity"] += stats["nodes"]
+        nodes["census"] += pinned_stats["nodes"]
+    assert nodes["census"] < nodes["identity"] == 21314
 
 
 @pytest.mark.slow

@@ -152,6 +152,47 @@ def test_collapse_sequence_replays():
     assert len(faces) == 1 and len(next(iter(faces))) == 1
 
 
+def _pairwise_collapse(K):
+    """`is_collapsible` with its coface table built by a scan over all pairs
+    of faces: the same faces in the same order, and the same search."""
+    faces = [m for i in range(K.dim + 1) for m in K.faces_masks(i)]
+    supers = [sum(1 << si for si, s in enumerate(faces) if s != t and s & t == t) for t in faces]
+    if sum((-1) ** (m.bit_count() - 1) for m in faces) != 1:
+        return False, None
+    sequence, dead = [], set()
+
+    def search(state):
+        if state.bit_count() == 1:
+            return True
+        if state in dead:
+            return False
+        for ti in range(len(faces)):
+            live = supers[ti] & state
+            if state >> ti & 1 and live.bit_count() == 1:
+                sequence.append((ti, live.bit_length() - 1))
+                if search(state & ~(1 << ti) & ~live):
+                    return True
+                sequence.pop()
+        dead.add(state)
+        return False
+
+    if not search((1 << len(faces)) - 1):
+        return False, None
+    return True, [(K.face_labels(faces[t]), K.face_labels(faces[s])) for t, s in sequence]
+
+
+def test_collapse_matches_the_pairwise_coface_scan(k39, c37, m10):
+    """Every facet complement of c37 and m10 (all collapsible) and of k39
+    (none is) gets the same answer and the same collapse sequence as with a
+    coface table from the pairwise scan."""
+    for K, expected in ((c37, True), (m10, True), (k39, False)):
+        for fm in K.facet_masks:
+            complement = K.simplicial_complement(K.face_labels(fm))
+            result = recognition.is_collapsible(complement)
+            assert result == _pairwise_collapse(complement)
+            assert result[0] is expected
+
+
 def test_certificates(k39, c37, m10):
     certified, facet = recognition.certify_sphere_via_complement(c37)
     assert certified and facet is not None
