@@ -181,17 +181,6 @@ def _as_moves(K: SimplicialComplex, found: list[tuple[int, int, int]]) -> list[B
     return [BistellarMove(K.face_labels(a), K.face_labels(b), i) for a, b, i in found]
 
 
-def _apply(K: SimplicialComplex, alpha: int, beta: int) -> SimplicialComplex:
-    """The move (alpha, beta), valid on K: no re-classification, and the new
-    facets already form an antichain.  Only a vertex removal renumbers."""
-    masks = [f for f in K.facet_masks if f & alpha != alpha]
-    masks += [beta | (alpha ^ (1 << b)) for b in _bits(alpha)]
-    if alpha.bit_count() == 1:
-        return SimplicialComplex._from_masks(masks, K.labels)
-    masks.sort()
-    return SimplicialComplex(tuple(masks), K.labels)
-
-
 def apply_move(K: SimplicialComplex, move: BistellarMove) -> SimplicialComplex:
     """Apply a validated move; stale moves are rejected."""
     if not K.has_face(move.alpha):
@@ -200,7 +189,10 @@ def apply_move(K: SimplicialComplex, move: BistellarMove) -> SimplicialComplex:
     status, beta = _classify_mask(K, am)
     if status != REMOVABLE or K.face_labels(beta) != frozenset(move.beta):
         raise PreconditionError(f"stale move: {move.describe()} ({status})")
-    return _apply(K, am, beta)
+    table = _StarTable(K.facet_masks, K.dim)
+    table.apply(am, beta)
+    # only a vertex removal leaves an id unused, and `_from_masks` renumbers it
+    return SimplicialComplex._from_masks(table.facets, K.labels)
 
 
 def star_vertex(K: SimplicialComplex, facet: Face, label) -> SimplicialComplex:

@@ -78,6 +78,29 @@ def _subfaces(facet: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(t) for t in table)
 
 
+def _components(masks: Iterable[int]) -> int:
+    """The number of components of the faces, when faces sharing a vertex
+    meet: each sweep of the faces not yet reached grows one component until
+    a sweep adds nothing."""
+    pending = list(masks)
+    parts = 0
+    while pending:
+        parts += 1
+        reached = pending[0]
+        progress = True
+        while pending and progress:
+            progress = False
+            still = []
+            for m in pending:
+                if m & reached:
+                    reached |= m
+                    progress = True
+                else:
+                    still.append(m)
+            pending = still
+    return parts
+
+
 def _antichain(masks: Iterable[int]) -> list[int]:
     """Drop masks contained in another mask; result sorted ascending.  Masks
     of one size never contain each other, so only larger kept masks are tried."""
@@ -378,7 +401,3 @@ def from_json(text: str) -> SimplicialComplex:
     except ValueError as exc:
         raise PreconditionError(f"malformed JSON: {exc}") from None
     return from_json_obj(obj)
-
-
-def to_json(K: SimplicialComplex) -> str:
-    return json.dumps(to_json_obj(K), sort_keys=True)

@@ -1,10 +1,12 @@
 """Exhaustive censuses of small spheres and 9-vertex combinatorial 3-manifolds.
 
-Both censuses run the same forced-closure search: keep a pool of facets, pick
-a ridge lying in exactly one facet (an open ridge), and try every vertex that
-can close it, introducing fresh vertices in first-use order.  A completed pool
-has every ridge in zero or two facets; canonical-form rejection then decides
-what was found.
+Every census runs one driver, `_census(d, n, stars)`: one forced-closure
+search (`_census_task`) per pinned vertex star, on tables keyed by the
+dimension d and the vertex bound n.  Each search keeps a pool of facets,
+picks a ridge lying in exactly one facet (an open ridge), and tries every
+vertex that can close it, introducing fresh vertices in first-use order.  A
+completed pool has every ridge in zero or two facets; canonical-form
+rejection then decides what was found.
 
 The search branches on the open ridge with the fewest candidate vertices, the
 least ridge mask on ties, and stops scanning at a count of 0 or 1: the
@@ -55,17 +57,20 @@ breaks ties on the least ridge mask and tries candidates low bit first; the
 high-degree link vertices take the low labels, which halves the neighbourly
 census's tree.  `label_seed` replaces the reversal with a random labelling.
 
-Cheap necessary conditions prune the tree: a vertex link has at most 18
-edges in d = 3 (n - 1 vertices in d = 2), the ridge cap, and whenever a
-face's star closes ("seals"), its link must already be a single cycle
-(edges) or a connected chi = 2 surface (vertices).  These imply every facet
-cap, as a ridge lies in at most two facets and a sealed star takes no more:
-the F facets at a vertex make 3F <= 2 * 18 link-edge incidences (2F <=
-2(n - 1) in d = 2), and at the bound every link edge lies in two, which
-seals the vertex; a pair's link has degree at most 2 on 7 vertices, so 7
+Cheap necessary conditions prune the tree.  The ridge cap is derived from
+n: a vertex link has at most 3(n - 1) - 6 edges in d = 3, the most a
+2-sphere on the other n - 1 vertices has (18 at n = 9), and at most n - 1
+vertices in d = 2.  Whenever a face's star closes ("seals"), its link must
+already be a single cycle (edges) or a connected chi = 2 surface
+(vertices).  These imply every facet cap, as a ridge lies in at most two
+facets and a sealed star takes no more: the F facets at a vertex make
+3F <= 2(3(n - 1) - 6) link-edge incidences, so F <= 2n - 6 (2F <= 2(n - 1)
+in d = 2), and at the bound every link edge lies in two, which seals the
+vertex; a pair's link has degree at most 2 on n - 2 vertices, so n - 2
 facets seal it.  The facet budget is 2n - 4 in d = 2, the facets of an
-n-vertex 2-sphere, and it cuts branches; in d = 3 it is n(n - 3)/2 = 27,
-as 4F <= 12n, and 27 facets seal every vertex, so it never cuts.
+n-vertex 2-sphere, and it cuts branches; in d = 3 it is n(n - 3)/2 (27 at
+n = 9), as 4F <= n(2n - 6), and that many facets seal every vertex, so it
+never cuts.
 
 These checks make recognition of a completion unnecessary.  Every facet
 added after the pinned star closes an open ridge, so a completion is
@@ -74,12 +79,13 @@ d = 2 every vertex link passed the cycle check, so a completion is a closed
 surface; with n vertices and at most 2n - 4 facets its Euler characteristic
 n - f/2 is at least 2, so it is a 2-sphere.  In d = 3 every edge link passed
 the cycle check, so every vertex link is a closed surface, and the vertex
-check made it connected with chi = 2: a 2-sphere.  With an 8-vertex pinned
-link every vertex seals with at least 12 facets, the most it may have, so
-all have degree 8 and the completion is neighbourly: the neighbourly census
-is the full census's 8-vertex tasks, and one driver runs both over their
-pinned-link sizes (8, or 4..8).  The tests and the benchmark re-verify every
-census member independently.
+check made it connected with chi = 2: a 2-sphere.  With an (n - 1)-vertex
+pinned link every vertex seals with at least 2n - 6 facets, the most it may
+have, so all have degree n - 1 and the completion is neighbourly: the
+neighbourly 9-vertex census is the full census's 8-vertex tasks.  The
+2-sphere census runs `_census` over its pinned cycles, and the 9-vertex
+censuses over the stars of their seeds on 8, or 4..8, vertices.  The tests
+and the benchmark re-verify every census member independently.
 """
 
 from __future__ import annotations
@@ -91,11 +97,9 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import homology
-from .core import PreconditionError, SimplicialComplex, _bits, _iter_bits
+from .core import PreconditionError, SimplicialComplex, _bits, _components, _iter_bits
 from .isomorphism import canonical_form, canonical_relabel
-from .recognition import _connected
 
-MAX_N = 9
 _STAT_KEYS = ("nodes", "completions", "isomorph_rejections", "degree_prunes", "key_prunes")
 
 
@@ -114,8 +118,8 @@ class CensusResult:
 
 
 @lru_cache(maxsize=None)
-def _facet_table(d: int) -> dict[int, tuple[int, int, int, tuple, tuple]]:
-    """For each (d+1)-subset f of the 9 vertices: its top vertex, its ridges as
+def _facet_table(d: int, n: int) -> dict[int, tuple[int, int, int, tuple, tuple]]:
+    """For each (d+1)-subset f of the n vertices: its top vertex, its ridges as
     a face set, the bits its ridges set in a neighbour word (see
     `_ridge_table`), and (vertex, faces through it) for each of its vertices
     and (pair, faces through it) for each of its vertex pairs when d = 3.
@@ -123,13 +127,13 @@ def _facet_table(d: int) -> dict[int, tuple[int, int, int, tuple, tuple]]:
     A face set is an int whose bit m is set when the face with vertex mask m is
     in it; the sets here list only ridges and facets (sizes d and d + 1).
     """
-    faces = [m for m in range(1 << MAX_N) if m.bit_count() in (d, d + 1)]
-    closes = _ridge_table(d)[1]
+    faces = [m for m in range(1 << n) if m.bit_count() in (d, d + 1)]
+    closes = _ridge_table(d, n)[1]
 
     def through(s: int) -> int:
         return sum(1 << m for m in faces if m & s == s)
 
-    at_vertex = [through(1 << v) for v in range(MAX_N)]
+    at_vertex = [through(1 << v) for v in range(n)]
     table = {}
     for f in faces:
         if f.bit_count() == d + 1:
@@ -147,26 +151,26 @@ def _facet_table(d: int) -> dict[int, tuple[int, int, int, tuple, tuple]]:
 
 
 @lru_cache(maxsize=None)
-def _pair_table(d: int) -> tuple[tuple[int, ...], ...]:
+def _pair_table(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     """For each vertex b: the "faces through" sets of the pairs {b, w}."""
-    through = dict(p for *_, at_pairs in _facet_table(d).values() for p in at_pairs)
-    return tuple(tuple(t for p, t in through.items() if p >> b & 1) for b in range(MAX_N))
+    through = dict(p for *_, at_pairs in _facet_table(d, n).values() for p in at_pairs)
+    return tuple(tuple(t for p, t in through.items() if p >> b & 1) for b in range(n))
 
 
 @lru_cache(maxsize=None)
-def _ridge_table(d: int) -> tuple[list, list]:
-    """For each ridge mask r (a d-subset of the 9 vertices): the offsets of the
+def _ridge_table(d: int, n: int) -> tuple[list, list]:
+    """For each ridge mask r (a d-subset of the n vertices): the offsets of the
     fields of the (d-1)-faces r - {x} in the closed-neighbour word, and the
     word with bit x of each such field set, which r ORs in when it closes.
 
-    The word packs one MAX_N-bit field per (d-1)-face e, in increasing order
-    of e; bit v of e's field is set when the ridge e + {v} is closed.
+    The word packs one n-bit field per (d-1)-face e, in increasing order of
+    e; bit v of e's field is set when the ridge e + {v} is closed.
     """
-    bases = [m for m in range(1 << MAX_N) if m.bit_count() == d - 1]
-    offset = {e: i * MAX_N for i, e in enumerate(bases)}
-    shifts: list = [()] * (1 << MAX_N)
-    closes = [0] * (1 << MAX_N)
-    for r in range(1 << MAX_N):
+    bases = [m for m in range(1 << n) if m.bit_count() == d - 1]
+    offset = {e: i * n for i, e in enumerate(bases)}
+    shifts: list = [()] * (1 << n)
+    closes = [0] * (1 << n)
+    for r in range(1 << n):
         if r.bit_count() == d:
             shifts[r] = tuple(offset[r ^ (1 << x)] for x in _bits(r))
             closes[r] = sum(1 << (s + x) for s, x in zip(shifts[r], _bits(r)))
@@ -174,24 +178,28 @@ def _ridge_table(d: int) -> tuple[list, list]:
 
 
 class _ClosureSearch:
-    """Depth-first forced closure over at most 9 vertices.
+    """Depth-first forced closure of a d-dimensional pool over at most
+    n = `max_vertices` vertices, on the (d, n) tables; `_census_task` is the
+    one driver that builds it.
 
-    The state is three face sets (see `_facet_table`): the facets, the ridges
-    in at least one facet, and the open ridges, which lie in exactly one;
-    two neighbour words (see `_ridge_table`), `cn` of the closed ridges and
-    `pw` of the present ones; two vertex masks, `dead` of the sealed
-    vertices, which can take no more facets, and `rfull` of those whose link
-    has `ridge_cap` edges; and the vertex count.  Facet counts at
-    a vertex or pair, seal status and ridge counts are popcounts of ANDs with
-    the "faces through" sets.  `try_add` keeps every check; the words and
-    masks only let `_choose` leave out candidates it would refuse.
-    `min_seal` is the least facet count a vertex may have when its star
-    closes; `degree_prunes` counts the additions it rejected.  A vertex that
-    closes with exactly `min_seal` facets must not have a link type (see
-    `_link_type`) below `min_type`; `key_prunes` counts those.  `pin` sets
-    both from vertex 0's star.  `completions` counts every pool with no
-    open ridge, also those that close on fewer vertices than the census
-    asks for, which its `on_complete` drops.
+    The state is three face sets (see `_facet_table`): the facets, the
+    ridges in at least one facet, and the open ridges, which lie in exactly
+    one; two neighbour words (see `_ridge_table`), one n-bit field per
+    (d-1)-face, `cn` of the closed ridges and `pw` of the present ones; two
+    vertex masks, `dead` of the sealed vertices, which can take no more
+    facets, and `rfull` of those whose link has `ridge_cap` edges,
+    3(n - 1) - 6 in d = 3 and n - 1 in d = 2 (see the module docstring);
+    and the vertex count.  Facet counts at a vertex or pair, seal status and ridge
+    counts are popcounts of ANDs with the "faces through" sets.  `try_add`
+    keeps every check; the words and masks only let `_choose` leave out
+    candidates it would refuse.  `min_seal` is the least facet count a
+    vertex may have when its star closes; `degree_prunes` counts the
+    additions it rejected.  A vertex that closes with exactly `min_seal`
+    facets must not have a link type (see `_link_type`) below `min_type`;
+    `key_prunes` counts those.  `pin` sets both from vertex 0's star.
+    `completions` counts every pool with no open ridge, also those that
+    close on fewer vertices than the census asks for, which its
+    `on_complete` drops.
     """
 
     def __init__(self, d: int, max_vertices: int):
@@ -199,13 +207,13 @@ class _ClosureSearch:
         self.max_vertices = n = max_vertices
         # the most ridges at a vertex (edges of its link) a manifold allows,
         # and the facet budget of the module docstring
-        self.ridge_cap = 18 if d == 3 else n - 1
+        self.ridge_cap = 3 * (n - 1) - 6 if d == 3 else n - 1
         self.max_facets = 2 * n - 4 if d == 2 else n * (n - 3) // 2
         self.min_seal = 0
         self.min_type: tuple = ()
-        self.table = _facet_table(d)
-        self.pairs = _pair_table(d)
-        self.shifts, self.closes = _ridge_table(d)
+        self.table = _facet_table(d, n)
+        self.pairs = _pair_table(d, n)
+        self.shifts, self.closes = _ridge_table(d, n)
         self.facets = 0
         self.present = 0
         self.open = 0
@@ -303,8 +311,8 @@ class _ClosureSearch:
 
     def _link_type(self, b: int, facets: int) -> tuple[int, tuple[int, ...]]:
         """Vertex b's link type in the pool `facets`: its facet count and the
-        sorted facet counts at the 8 pairs {b, w}, its link's vertex degrees.
-        In d = 2 no pairs are counted and every type is (0, ()): a sealed
+        sorted facet counts at the n - 1 pairs {b, w}, its link's vertex
+        degrees.  In d = 2 no pairs are counted and every type is (0, ()): a sealed
         cycle link is fixed by its length, which `min_seal` already orders."""
         counts = sorted((facets & through).bit_count() for through in self.pairs[b])
         return sum(counts) // 3, tuple(counts)
@@ -319,7 +327,7 @@ class _ClosureSearch:
         vertices = 0
         for e in link:
             vertices |= e
-        return vertices.bit_count() - ridges + len(link) == 2 and _connected(link)
+        return vertices.bit_count() - ridges + len(link) == 2 and _components(link) <= 1
 
     @staticmethod
     def _link_is_cycle(face: int, facets: int) -> bool:
@@ -332,7 +340,7 @@ class _ClosureSearch:
         """
         if facets.bit_count() < 6:
             return True
-        return _connected([f & ~face for f in _iter_bits(facets)])
+        return _components([f & ~face for f in _iter_bits(facets)]) <= 1
 
     # -- search ------------------------------------------------------------
 
@@ -370,7 +378,7 @@ class _ClosureSearch:
         """
         cn, pw, rfull, shifts = self.cn, self.pw, self.rfull, self.shifts
         allowed = ((1 << min(self.used + 1, self.max_vertices)) - 1) & ~self.dead
-        best, fewest, choice = 0, MAX_N + 1, 0
+        best, fewest, choice = 0, self.max_vertices + 1, 0
         rest = self.open
         while rest:
             low = rest & -rest
@@ -395,9 +403,17 @@ class _ClosureSearch:
 # -- censuses -------------------------------------------------------------------
 
 
-def _dedupe(n: int, found: dict[bytes, SimplicialComplex], stats: dict[str, int]):
-    """The `on_complete` of a census on exactly n vertices: keep one canonical
-    representative per class in `found`, and count repeats in `stats`."""
+def _census_task(task: tuple[int, int, tuple[int, ...]]):
+    """Complete vertex 0's star, pinned to the facet masks `star`, to closed
+    d-dimensional pools on exactly n vertices in which vertex 0 has least
+    link type: one canonical representative per class, keyed by its
+    canonical bytes, and the search's stats.  Safe to run in a worker
+    process."""
+    d, n, star = task
+    search = _ClosureSearch(d, n)
+    search.pin(star)
+    found: dict[bytes, SimplicialComplex] = {}
+    stats = {"isomorph_rejections": 0}
 
     def on_complete(s: _ClosureSearch) -> None:
         if s.used != n:
@@ -409,7 +425,35 @@ def _dedupe(n: int, found: dict[bytes, SimplicialComplex], stats: dict[str, int]
         else:
             found[digest] = canonical_relabel(K)
 
-    return on_complete
+    search.run(on_complete)
+    for key in ("nodes", "completions", "degree_prunes", "key_prunes"):
+        stats[key] = getattr(search, key)
+    return found, stats
+
+
+def _census(
+    d: int, n: int, stars: Iterable[tuple[int, ...]], threads: int = 1
+) -> tuple[list[SimplicialComplex], dict[str, int]]:
+    """One `_census_task` per pinned star, on `threads` worker processes: the
+    classes, deduplicated across tasks and sorted by canonical bytes, and the
+    summed stats, without the prune counts in d = 2."""
+    tasks = [(d, n, star) for star in stars]
+    if threads > 1:
+        from multiprocessing import Pool
+
+        with Pool(threads) as pool:
+            results = pool.map(_census_task, tasks)
+    else:
+        results = map(_census_task, tasks)
+    found: dict[bytes, SimplicialComplex] = {}
+    stats = dict.fromkeys(_STAT_KEYS if d == 3 else _STAT_KEYS[:3], 0)
+    for task_found, task_stats in results:
+        for key in stats:
+            stats[key] += task_stats[key]
+        # representatives are canonical, so a repeat found anew is equal
+        stats["isomorph_rejections"] += len(found.keys() & task_found.keys())
+        found.update(task_found)
+    return [found[k] for k in sorted(found)], stats
 
 
 def enumerate_two_spheres(n: int) -> CensusResult:
@@ -421,16 +465,8 @@ def enumerate_two_spheres(n: int) -> CensusResult:
     """
     if n < 4 or n > 8:
         raise PreconditionError(f"2-sphere census covers 4 <= n <= 8, got {n}")
-    found: dict[bytes, SimplicialComplex] = {}
-    stats = {"nodes": 0, "completions": 0, "isomorph_rejections": 0}
-    on_complete = _dedupe(n, found, stats)
-    for k in range(3, n):
-        search = _ClosureSearch(d=2, max_vertices=n)
-        search.pin(1 | 1 << i | 1 << (i % k + 1) for i in range(1, k + 1))
-        search.run(on_complete)
-        stats["nodes"] += search.nodes
-        stats["completions"] += search.completions
-    ordered = [found[key] for key in sorted(found)]
+    cycles = [tuple(1 | 1 << i | 1 << (i % k + 1) for i in range(1, k + 1)) for k in range(3, n)]
+    ordered, stats = _census(2, n, cycles)
     return CensusResult(ordered, {"two_sphere": len(ordered)}, stats)
 
 
@@ -439,31 +475,14 @@ def _sphere_seeds(n: int) -> tuple[SimplicialComplex, ...]:
     return tuple(enumerate_two_spheres(n).complexes)
 
 
-def _census_task(task: tuple[tuple[int, ...], tuple[int, ...]]):
-    """Complete vertex 0's star, its link pinned to the 2-sphere with facet
-    masks `masks` and vertex i relabelled perm[i], to closed 9-vertex
-    3-manifolds in which vertex 0 has least link type.  Safe to run in a
-    worker process."""
-    masks, perm = task
-    search = _ClosureSearch(d=3, max_vertices=MAX_N)
-    search.pin(1 | sum(2 << perm[b] for b in _bits(fm)) for fm in masks)
-    found: dict[bytes, SimplicialComplex] = {}
-    stats = {"isomorph_rejections": 0}
-    search.run(_dedupe(MAX_N, found, stats))
-    for key in ("nodes", "completions", "degree_prunes", "key_prunes"):
-        stats[key] = getattr(search, key)
-    return found, stats
-
-
-def _census_tasks(
-    sizes: Iterable[int], label_seed: int | None
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """One `_census_task` per canonical 2-sphere on each number of vertices
-    in `sizes`, the link pinned with its labels reversed or, given
-    `label_seed`, relabelled at random from it (see the module docstring).
-    Reversed, the neighbourly census visits 10,140 nodes, not 21,314."""
+def _seed_stars(sizes: Iterable[int], label_seed: int | None) -> list[tuple[int, ...]]:
+    """Vertex 0's star over each canonical 2-sphere on each number of
+    vertices in `sizes`, the link's vertex i taking label perm[i] + 1: its
+    labels reversed or, given `label_seed`, relabelled at random from it
+    (see the module docstring).  Reversed, the neighbourly census visits
+    10,140 nodes, not 21,314."""
     rng = random.Random(label_seed) if label_seed is not None else None
-    tasks = []
+    stars = []
     for m in sizes:
         for link in _sphere_seeds(m):
             if rng is None:
@@ -471,30 +490,14 @@ def _census_tasks(
             else:
                 perm = list(range(m))
                 rng.shuffle(perm)
-            tasks.append((link.facet_masks, tuple(perm)))
-    return tasks
+            stars.append(tuple(1 | sum(2 << perm[b] for b in _bits(fm)) for fm in link.facet_masks))
+    return stars
 
 
 def _census_9(sizes: Iterable[int], label_seed: int | None, threads: int) -> CensusResult:
-    """The searches of `_census_tasks`; the classes, deduplicated across
-    searches and split into spheres and non-spheres by integer homology."""
-    tasks = _census_tasks(sizes, label_seed)
-    if threads > 1:
-        from multiprocessing import Pool
-
-        with Pool(threads) as pool:
-            results = pool.map(_census_task, tasks)
-    else:
-        results = map(_census_task, tasks)
-    found: dict[bytes, SimplicialComplex] = {}
-    stats = dict.fromkeys(_STAT_KEYS, 0)
-    for task_found, task_stats in results:
-        for key in stats:
-            stats[key] += task_stats[key]
-        # representatives are canonical, so a repeat found anew is equal
-        stats["isomorph_rejections"] += len(found.keys() & task_found.keys())
-        found.update(task_found)
-    ordered = [found[k] for k in sorted(found)]
+    """The 9-vertex census over the seed stars of `_seed_stars`, its classes
+    split into spheres and non-spheres by integer homology."""
+    ordered, stats = _census(3, 9, _seed_stars(sizes, label_seed), threads)
     spheres = sum(homology.homology(K) == homology.THREE_SPHERE_PROFILE for K in ordered)
     counts = {"total": len(ordered), "sphere": spheres, "non_sphere": len(ordered) - spheres}
     return CensusResult(ordered, counts, stats)

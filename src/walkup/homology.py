@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable
 
-from .core import PreconditionError, SimplicialComplex, _bits
+from .core import PreconditionError, SimplicialComplex, _bits, _components
 
 Matrix = list[list[int]]
 
@@ -212,21 +212,6 @@ def _sparse_smith(rows: Iterable[dict[int, int] | tuple[tuple[int, int], ...]]) 
     pivots, core = _eliminate(rows)
     factors, rank = smith_normal_form(core)
     return [1] * len(pivots) + factors, len(pivots) + rank
-
-
-def _components(masks: Iterable[int]) -> int:
-    """The number of components of the faces, when faces sharing a vertex meet."""
-    parts: list[int] = []
-    for m in masks:
-        rest = []
-        for part in parts:
-            if part & m:
-                m |= part
-            else:
-                rest.append(part)
-        rest.append(m)
-        parts = rest
-    return len(parts)
 
 
 def homology(K: SimplicialComplex) -> HomologyProfile:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .core import PreconditionError, SimplicialComplex, _bits, _subfaces
+from .core import PreconditionError, SimplicialComplex, _bits, _components, _subfaces
 
 
 @dataclass(frozen=True)
@@ -51,26 +51,6 @@ class RecognitionReport:
 
 def _purity_witness(K: SimplicialComplex) -> int | None:
     return next((m for m in K.facet_masks if m.bit_count() != K.dim + 1), None)
-
-
-def _connected(masks: Sequence[int]) -> bool:
-    """Whether the faces form one component when faces sharing a vertex meet."""
-    if not masks:
-        return True
-    reached = masks[0]
-    pending = list(masks[1:])
-    progress = True
-    while pending and progress:
-        progress = False
-        still = []
-        for m in pending:
-            if m & reached:
-                reached |= m
-                progress = True
-            else:
-                still.append(m)
-        pending = still
-    return not pending
 
 
 def _unreached_facet(K: SimplicialComplex) -> int | None:
@@ -130,10 +110,10 @@ def _surface_defect(masks: Sequence[int]) -> int | None:
     bad = [e for e, c in edges.items() if c != 2]
     if bad:
         return min(bad)
-    bad = [b for b, link in links.items() if not _connected(link)]
+    bad = [b for b, link in links.items() if _components(link) > 1]
     if bad:
         return 1 << min(bad)
-    return None if _connected(masks) else masks[0]
+    return None if _components(masks) <= 1 else masks[0]
 
 
 def _is_two_sphere_masks(masks: Sequence[int]) -> bool:
@@ -266,7 +246,7 @@ def certify_sphere_via_complement(
 
     False means "no certificate found", never "proved non-sphere".
     """
-    if X.dim != 3 or not is_combinatorial_3_manifold(X) or not _connected(X.facet_masks):
+    if X.dim != 3 or not is_combinatorial_3_manifold(X) or _components(X.facet_masks) > 1:
         raise PreconditionError("certificate scan needs a connected combinatorial 3-manifold")
     for fm in X.facet_masks:
         facet = X.face_labels(fm)

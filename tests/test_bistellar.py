@@ -296,15 +296,18 @@ def test_degree_raising_moves_match_the_reference(kernel_pool):
 
 
 def test_applied_moves_match_the_reference(kernel_pool):
+    """Every move of every type 1..d, against the frozenset rule; a d-move
+    removes a vertex, and the result keeps only the labels still in use."""
     for name, K in kernel_pool:
         if not recognition.is_pseudomanifold(K):
             continue
         F = {frozenset(f) for f in K.facets()}
-        for move in removable_faces(K, 1)[:4] + removable_faces(K, K.dim)[:2]:
+        for move in [m for i in range(1, K.dim + 1) for m in removable_faces(K, i)]:
             after = apply_move(K, move)
             kept = {f for f in F if not move.alpha <= f}
             added = {move.beta | (move.alpha - {v}) for v in move.alpha}
             assert {frozenset(f) for f in after.facets()} == kept | added, (name, move)
+            assert set(after.labels) == set().union(*kept, *added)
             assert after.labels == tuple(sorted(after.labels, key=bistellar._label_key))
 
 

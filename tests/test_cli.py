@@ -123,6 +123,20 @@ def test_bistellar_imports_only_what_it_needs():
     ]
 
 
+def test_enumeration_imports_only_what_it_needs():
+    """Loading `walkup.enumeration` imports only the modules the census
+    runs: the core kernels, canonical forms and homology."""
+    probe = _invoke_python(
+        "-c",
+        "import sys, walkup.enumeration; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'walkup')))"
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.split() == [
+        "walkup", "walkup.core", "walkup.enumeration", "walkup.homology", "walkup.isomorphism",
+    ]
+
+
 def test_unknown_subcommand_exits_1():
     outcome = run(["frobnicate"])
     assert outcome.exit_code == 1
@@ -346,7 +360,7 @@ def test_file_and_json_inputs(tmp_path):
     text_path = tmp_path / "c.facets"
     json_path = tmp_path / "c.json"
     text_path.write_text(run(["gen", "c37"]).text)
-    json_path.write_text(core.to_json(core.from_text(text_path.read_text())))
+    json_path.write_text(json.dumps(core.to_json_obj(core.from_text(text_path.read_text()))))
     for path in (text_path, json_path):
         outcome = run(["info", str(path)])
         assert outcome.report["data"]["f_vector"] == [7, 21, 28, 14]

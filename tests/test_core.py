@@ -6,16 +6,17 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from walkup import constructions
 from walkup.core import (
     PreconditionError,
     _antichain,
+    _components,
     from_facets,
     from_json,
     from_text,
-    to_json,
+    to_json_obj,
     to_text,
 )
 
@@ -200,7 +201,8 @@ def test_text_round_trip(catalog, k39, m10):
     for K in [catalog["S4"], k39, m10]:
         text = to_text(K)
         assert to_text(from_text(text)) == text
-        assert to_json(from_json(to_json(K))) == to_json(K)
+        as_json = json.dumps(to_json_obj(K))
+        assert json.dumps(to_json_obj(from_json(as_json))) == as_json
 
 
 def test_text_round_trip_random_complexes():
@@ -260,6 +262,20 @@ def test_antichain_matches_a_pairwise_filter(masks):
     distinct = set(masks)
     expected = sorted(m for m in distinct if not any(k != m and k & m == m for k in distinct))
     assert _antichain(masks) == expected
+
+
+@given(st.lists(st.sets(st.integers(0, 15), min_size=1, max_size=3), max_size=12))
+@example([])
+def test_components_match_networkx(faces):
+    """`_components` against `networkx` on the graph with one node per face
+    and an edge between faces sharing a vertex; no faces, no components."""
+    import networkx as nx
+
+    masks = [sum(1 << v for v in face) for face in faces]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(masks)))
+    graph.add_edges_from((i, j) for i, j in combinations(range(len(masks)), 2) if masks[i] & masks[j])
+    assert _components(masks) == nx.number_connected_components(graph)
 
 
 @given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=10))

@@ -8,8 +8,8 @@ from walkup import homology, lemmas, recognition
 from walkup.core import PreconditionError, SimplicialComplex, _iter_bits, from_facets
 from walkup.enumeration import (
     _census_task,
-    _census_tasks,
     _ClosureSearch,
+    _seed_stars,
     enumerate_neighbourly_9_manifolds,
     enumerate_two_spheres,
 )
@@ -230,13 +230,14 @@ def test_closure_search_refuses_a_pair_link_of_two_triangles():
 
 def _ridge_word(search: _ClosureSearch, ridges: int) -> int:
     """The word of a face set of ridges, rebuilt from the ridges alone: one
-    9-bit field per (d-1)-face in increasing mask order, with bit v of the
-    field of e set when e + {v} is in the set."""
-    bases = [m for m in range(1 << 9) if m.bit_count() == search.d - 1]
+    n-bit field per (d-1)-face in increasing mask order, n the search's
+    vertex bound, with bit v of the field of e set when e + {v} is in the set."""
+    n = search.max_vertices
+    bases = [m for m in range(1 << n) if m.bit_count() == search.d - 1]
     word = 0
     for ridge in _iter_bits(ridges):
         for x in _iter_bits(ridge):
-            word |= 1 << (9 * bases.index(ridge ^ (1 << x)) + x)
+            word |= 1 << (n * bases.index(ridge ^ (1 << x)) + x)
     return word
 
 
@@ -557,13 +558,17 @@ def test_census_labelling_changes_only_the_tree():
     """Task by task, the labelling the neighbourly census pins each 8-vertex
     seed with finds the same classes, completions and isomorph rejections as
     the seed's own labels, and its 14 searches visit fewer nodes in all."""
-    tasks = _census_tasks((8,), None)
-    assert len(tasks) == 14
+    seeds = enumerate_two_spheres(8).complexes
+    stars = _seed_stars((8,), None)
+    assert len(stars) == len(seeds) == 14
     nodes = {"identity": 0, "census": 0}
-    for masks, perm in tasks:
-        assert sorted(perm) == list(range(8))
-        found, stats = _census_task((masks, tuple(range(8))))
-        pinned_found, pinned_stats = _census_task((masks, perm))
+    for seed, star in zip(seeds, stars):
+        # the pinned link is the seed with its labels 0..7 permuted onto 1..8
+        link = SimplicialComplex(tuple(sorted(f >> 1 for f in star)), seed.labels)
+        assert all(f & 1 and f.bit_count() == 4 for f in star) and len(star) == len(seed.facet_masks)
+        assert canonical_form(link).bytes == canonical_form(seed).bytes
+        found, stats = _census_task((3, 9, tuple(1 | fm << 1 for fm in seed.facet_masks)))
+        pinned_found, pinned_stats = _census_task((3, 9, star))
         assert pinned_found.keys() == found.keys()
         for key in ("completions", "isomorph_rejections"):
             assert pinned_stats[key] == stats[key]
