@@ -292,14 +292,15 @@ def proper_moves(K: SimplicialComplex) -> list[BistellarMove]:
 # -- seeded random spheres -----------------------------------------------------
 
 
-def random_three_sphere(
-    seed: int, vertices: int = 9, churn: int = 12
-) -> SimplicialComplex:
+_CHURN = 12  # the random proper moves that end each random sphere's walk
+
+
+def random_three_sphere(seed: int, vertices: int = 9) -> SimplicialComplex:
     """A pseudo-random combinatorial 3-sphere grown from the 5-vertex sphere.
 
     Starting from the boundary of the 4-simplex, vertices are starred into
     random facets (inverse collapses) interleaved with random proper moves,
-    then `churn` further proper moves are applied.  Every intermediate step
+    then `_CHURN` further proper moves are applied.  Every intermediate step
     is a bistellar move, so the result is always a combinatorial 3-sphere.
     """
     if vertices < 5 or vertices > 16:
@@ -321,6 +322,6 @@ def random_three_sphere(
         # 1..n+1 in id order, as `star_vertex` would number them
         table.apply(rng.choice(sorted(table.facets)), 1 << len(labels))
         labels += (str(len(labels) + 1),)
-    for _ in range(churn):
+    for _ in range(_CHURN):
         random_proper_step()
     return SimplicialComplex(tuple(sorted(table.facets)), labels)

@@ -59,7 +59,7 @@ def _parse_complex(text: str) -> SimplicialComplex:
     return core.from_text(text)
 
 
-def _resolve_complex(token: str, seed: int | None = None) -> SimplicialComplex:
+def _resolve_complex(token: str) -> SimplicialComplex:
     if token == "-":
         return _parse_complex(_read_stdin())
     if ":" in token:
@@ -77,8 +77,6 @@ def _resolve_complex(token: str, seed: int | None = None) -> SimplicialComplex:
         if kind == "random9":
             return bistellar.random_three_sphere(value)
         raise PreconditionError(f"unknown parametric complex {kind!r}")
-    if token == "random9":
-        return bistellar.random_three_sphere(seed if seed is not None else 0)
     try:
         return constructions.get_complex(token)
     except PreconditionError:
@@ -119,15 +117,13 @@ def _render(data: dict, indent: str = "") -> list[str]:
 
 
 def _cmd_gen(args) -> tuple[bool, dict, str]:
-    K = _resolve_complex(args.name, seed=args.seed)
+    K = _resolve_complex(args.name)
     body = core.to_text(K)
-    if args.name.startswith("random9") and args.seed is not None:
-        body = f"# seed={args.seed}\n" + body
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(body)
         body = f"wrote {args.output}\n"
-    data = {"name": args.name, "facets": core.to_json_obj(K)["facets"], "seed": args.seed}
+    data = {"name": args.name, "facets": core.to_json_obj(K)["facets"]}
     return True, data, body
 
 
@@ -203,12 +199,11 @@ def _cmd_alpha(args) -> tuple[bool, dict, str]:
     data = {"k": k, "formula_value": expected}
     if args.complex:
         X = _resolve_complex(args.complex)
+        if X.vertex_count != k:
+            raise PreconditionError(f"{args.complex} has {X.vertex_count} vertices, not k = {k}")
         value = lemmas.alpha(X)
         data["alpha"] = value
-        ok = value == lemmas.alpha_formula(X.vertex_count)
-        return ok, data, f"alpha = {value} (closed form {expected})\n"
-    if k > 8:
-        raise PreconditionError("census verification of the closed form covers k <= 8")
+        return value == expected, data, f"alpha = {value} (closed form {expected})\n"
     values = sorted({lemmas.alpha(X) for X in enumeration.enumerate_two_spheres(k).complexes})
     data["census_values"] = values
     ok = values == [expected]
@@ -265,24 +260,26 @@ def _cmd_reduce(args) -> tuple[bool, dict, str]:
     return True, data, body
 
 
+# claim -> its verifier; lemma3.1 reads a catalog labelling, the others a complex
+_CLAIMS = {
+    "lemma3.1": lemmas.coclique_case_check,
+    "lemma4.1": lemmas.verify_complement_dichotomy,
+    "lemma4.2": lemmas.verify_disjoint_facet_links,
+    "lemma4.5": lemmas.verify_good_vertex_links,
+    "eq1": lemmas.verify_facet_degree_dichotomy,
+}
+
+
 def _cmd_verify(args) -> tuple[bool, dict, str]:
-    claim = args.claim
-    if claim == "lemma3.1":
+    if args.claim == "lemma3.1":
         if not args.sphere:
             raise PreconditionError("verify lemma3.1 needs --sphere (one of S2..S9)")
-        report = lemmas.coclique_case_check(args.sphere)
+        subject = args.sphere
+    elif not args.complex:
+        raise PreconditionError(f"verify {args.claim} needs --complex")
     else:
-        if not args.complex:
-            raise PreconditionError(f"verify {claim} needs --complex")
-        K = _resolve_complex(args.complex)
-        if claim == "lemma4.1":
-            report = lemmas.verify_complement_dichotomy(K)
-        elif claim == "lemma4.2":
-            report = lemmas.verify_disjoint_facet_links(K)
-        elif claim == "lemma4.5":
-            report = lemmas.verify_good_vertex_links(K)
-        else:  # eq1
-            report = lemmas.verify_facet_degree_dichotomy(K)
+        subject = _resolve_complex(args.complex)
+    report = _CLAIMS[args.claim](subject)
     data = report.as_dict()
     lines = [f"{report.name}: {'pass' if report.ok else 'FAIL'}"]
     lines.extend(_render(report.facts, "  "))
@@ -334,10 +331,6 @@ def _common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
         "--json", action="store_true", help="emit a JSON report", **kwargs
     )
     parser.add_argument(
-        "--seed", type=int, help="seed for randomized generation",
-        **(kwargs or {"default": None}),
-    )
-    parser.add_argument(
         "--threads", type=_thread_count,
         help="worker cap for the censuses, at least 1 (default from WALKUP_THREADS)",
         # argparse converts a string default only when the flag is absent; bad values exit 1
@@ -354,7 +347,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", parents=[common],
                        help="emit a named complex in the canonical text format")
-    p.add_argument("name", help="catalog name, sphere:D, cycle:N, walkup:D or random9[:SEED]")
+    p.add_argument("name", help="catalog name, sphere:D, cycle:N, walkup:D or random9:SEED")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
 
     for name, help_text in [
@@ -395,7 +388,7 @@ def build_parser() -> _Parser:
     p.add_argument("--complex", required=True)
 
     p = sub.add_parser("verify", parents=[common], help="mechanical checks of the published claims")
-    p.add_argument("claim", choices=["lemma3.1", "lemma4.1", "lemma4.2", "lemma4.5", "eq1"])
+    p.add_argument("claim", choices=list(_CLAIMS))
     p.add_argument("--sphere", help="catalog labeling for lemma3.1 (S2..S9)")
     p.add_argument("--complex", help="target complex for the other claims")
 
@@ -450,14 +443,7 @@ def run(argv: list[str]) -> CommandOutcome:
         report = {"command": args.command, "ok": False, "exit_code": 2, "error": str(exc)}
         return CommandOutcome(2, report, f"verified failure: {exc}\n", json_requested)
     exit_code = 0 if ok else 2
-    report = {
-        "command": args.command,
-        "ok": ok,
-        "exit_code": exit_code,
-        "data": data,
-    }
-    if getattr(args, "seed", None) is not None:
-        report["seed"] = args.seed
+    report = {"command": args.command, "ok": ok, "exit_code": exit_code, "data": data}
     return CommandOutcome(exit_code, report, body, json_requested)
 
 

@@ -20,7 +20,7 @@ from importlib import resources
 from itertools import combinations
 
 from . import recognition
-from .core import PreconditionError, SimplicialComplex, _label_key, _subfaces
+from .core import PreconditionError, SimplicialComplex, _antichain, _label_key, _subfaces
 from .isomorphism import automorphism_group, normalize_object, orbits
 
 VertexSet = frozenset[str]
@@ -263,43 +263,37 @@ def verify_complement_dichotomy(K: SimplicialComplex) -> LemmaReport:
 # -- disjoint facet pairs, good vertices (lemma 4.2 / 4.5 surfaces) ------------
 
 
-def disjoint_facet_pairs(K: SimplicialComplex) -> list[tuple[VertexSet, VertexSet]]:
-    pairs = []
+def _disjoint_pairs(K: SimplicialComplex) -> list[tuple[int, int, int]]:
+    """Each disjoint facet pair f, g of a pure 9-vertex 3-complex, in facet
+    order, with the one vertex x they leave out: masks f, g and x."""
+    full = (1 << K.vertex_count) - 1
     masks = K.facet_masks
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j] == 0:
-                pairs.append((K.face_labels(masks[i]), K.face_labels(masks[j])))
-    return pairs
+    return [(f, g, full ^ f ^ g) for i, f in enumerate(masks) for g in masks[i + 1 :] if not f & g]
 
 
-def _is_triangle_plus_isolated(L: SimplicialComplex) -> bool:
-    if L.vertex_count != 4 or L.dim != 1 or len(L.facet_masks) != 4:
-        return False
-    edges = [m for m in L.facet_masks if m.bit_count() == 2]
-    lone = [m for m in L.facet_masks if m.bit_count() == 1]
-    if len(edges) != 3 or len(lone) != 1:
-        return False
-    covered = 0
-    for e in edges:
-        covered |= e
-    return covered.bit_count() == 3 and not (covered & lone[0])
+def _is_triangle_plus_vertex(masks: list[int]) -> bool:
+    """Whether an antichain of masks is the three edges of a triangle and a
+    vertex: a vertex kept in an antichain lies on none of its edges."""
+    union = 0
+    for m in masks:
+        union |= m
+    return union.bit_count() == 4 and sorted(m.bit_count() for m in masks) == [1, 2, 2, 2]
 
 
 def verify_disjoint_facet_links(K: SimplicialComplex) -> LemmaReport:
-    """For each disjoint facet pair and leftover vertex x, the induced
-    subcomplex of lk(x) on either facet is a triangle plus an isolated vertex."""
+    """For each disjoint facet pair and leftover vertex x, the subcomplex of
+    lk(x) induced on either facet, the antichain of lk(x)'s facets cut down
+    to it, is a triangle plus an isolated vertex."""
     _require_neighbourly_9(K, "the disjoint-facet link check")
     violations = []
-    pairs = disjoint_facet_pairs(K)
-    for sigma1, sigma2 in pairs:
-        (x,) = set(K.labels) - sigma1 - sigma2  # two disjoint facets leave one vertex
-        link = K.link([x])
-        for sigma in (sigma1, sigma2):
-            induced = link.induced_subcomplex(sigma)
-            if not _is_triangle_plus_isolated(induced):
+    pairs = _disjoint_pairs(K)
+    for f, g, x in pairs:
+        link = K.link_masks(x)
+        for sigma in (f, g):
+            if not _is_triangle_plus_vertex(_antichain(m & sigma for m in link)):
                 violations.append(
-                    f"lk({x}) induced on {_sorted_labels(sigma)} is not a triangle plus a vertex"
+                    f"lk({K.labels[x.bit_length() - 1]}) induced on "
+                    f"{_sorted_labels(K.face_labels(sigma))} is not a triangle plus a vertex"
                 )
     return LemmaReport(
         "lemma4.2", not violations, {"disjoint_pairs": len(pairs)}, tuple(violations)
@@ -320,13 +314,13 @@ def good_vertices(K: SimplicialComplex) -> list[GoodVertex]:
     """
     if K.vertex_count != 9 or K.dim != 3 or not K.is_pure:
         raise PreconditionError("good-vertex scan expects a pure 9-vertex 3-complex")
-    by_vertex: dict[str, list[tuple[VertexSet, VertexSet]]] = {}
-    for sigma1, sigma2 in disjoint_facet_pairs(K):
-        (x,) = set(K.labels) - sigma1 - sigma2
-        by_vertex.setdefault(x, []).append((sigma1, sigma2))
+    by_vertex: dict[int, list[tuple[VertexSet, VertexSet]]] = {}
+    for f, g, x in _disjoint_pairs(K):
+        by_vertex.setdefault(x, []).append((K.face_labels(f), K.face_labels(g)))
+    # ids follow the label order, so ascending masks give the vertices in label order
     return [
-        GoodVertex(v, tuple(by_vertex[v]))
-        for v in sorted(by_vertex, key=_label_key)
+        GoodVertex(K.labels[x.bit_length() - 1], tuple(by_vertex[x]))
+        for x in sorted(by_vertex)
     ]
 
 

@@ -270,10 +270,8 @@ def recognition_report(K: SimplicialComplex) -> RecognitionReport:
     if not pure:
         witnesses.append(("is_pure", K.face_labels(pure_bad)))
 
-    if K.dim >= 1 and pure:
-        pm_bad = pseudomanifold_witness(K)
-    else:
-        pm_bad = K.face_labels(pure_bad) if pure_bad is not None else lead
+    # below dimension 1 every complex is pure, and none is a pseudomanifold
+    pm_bad = pseudomanifold_witness(K) if K.dim >= 1 else lead
     pseudo = pm_bad is None
     if not pseudo:
         witnesses.append(("is_pseudomanifold", pm_bad))

@@ -329,6 +329,27 @@ def test_alpha_with_explicit_complex():
     assert outcome.report["data"]["alpha"] == 42
 
 
+def test_alpha_complex_must_have_k_vertices():
+    """`--complex X` is checked against the closed form the command reports,
+    for k; an X on another vertex count is a precondition error."""
+    outcome = run(["alpha", "--k", "5", "--complex", "S5"])  # S5 has 7 vertices
+    assert outcome.exit_code == 1
+    assert outcome.report["error"] == "S5 has 7 vertices, not k = 5"
+    outcome = run(["alpha", "--k", "7", "--complex", "S5"])
+    assert outcome.exit_code == 0
+    assert outcome.report["data"]["alpha"] == outcome.report["data"]["formula_value"] == 25
+    # without a complex, the census refuses k > 8
+    outcome = run(["alpha", "--k", "9"])
+    assert outcome.exit_code == 1 and "n <= 8" in outcome.report["error"]
+
+
+def test_rejected_inputs_exit_1_without_a_traceback():
+    for argv in (["info", "random9:5", "--seed", "3"], ["alpha", "--k", "5", "--complex", "S5"]):
+        done = _invoke(*argv)
+        assert done.returncode == 1, argv
+        assert done.stdout.startswith("error: ") and done.stderr == "", argv
+
+
 def test_moves_apply_cli():
     # flip the removable edge of a churned sphere and check the f-vector step
     gen = run(["gen", "random9:4"])
@@ -400,13 +421,42 @@ def test_enumerate_neighbourly_cli(tmp_path):
     assert len(blocks) == 51
 
 
-def test_random9_seed_is_echoed():
-    outcome = run(["--seed", "3", "gen", "random9"])
-    assert outcome.exit_code == 0
-    assert outcome.report["seed"] == 3
-    assert "# seed=3" in outcome.text
-    again = run(["--seed", "3", "gen", "random9"])
-    assert outcome.text == again.text
+def test_random9_seed_is_the_only_random_spelling():
+    """`random9:SEED` alone names a random sphere: `--seed`, on either side
+    of the command, is a usage error, bare `random9` names nothing, and no
+    report carries a seed."""
+    import jsonschema
+
+    from walkup.bistellar import neighbourly_reduction, random_three_sphere
+
+    schema = _report_schema()
+    for argv in (
+        ["--seed", "3", "gen", "random9:5"],
+        ["info", "random9:5", "--seed", "3"],
+        ["--json", "reduce", "--complex", "random9:5", "--seed", "3"],
+    ):
+        outcome = run(argv)
+        assert outcome.exit_code == 1 and outcome.text.startswith("error: "), argv
+        jsonschema.validate(outcome.report, schema)
+    assert run(["gen", "random9"]).exit_code == 1
+    assert run(["info", "random9"]).exit_code == 1
+
+    K = random_three_sphere(5)
+    gen = run(["gen", "random9:5", "--json"])
+    assert core.from_text(gen.text) == K
+    assert gen.report["data"]["facets"] == core.to_json_obj(K)["facets"]
+    info = run(["info", "random9:5"])
+    assert info.report["data"]["facets"] == len(K.facet_masks) == 24
+    assert info.report["data"]["f_vector"] == list(K.f_vector())
+    reduce = run(["reduce", "--complex", "random9:5"])
+    reduced, moves = neighbourly_reduction(K)
+    assert reduce.report["data"]["moves"] == [m.describe() for m in moves]
+    assert reduce.report["data"]["f_vector"] == list(reduced.f_vector())
+    for outcome in (gen, info, reduce):
+        assert outcome.exit_code == 0 and "seed" not in outcome.report
+        assert "seed" not in outcome.report["data"]
+        jsonschema.validate(outcome.report, schema)
+    assert "seed" not in schema["properties"]
 
 
 # The argument surface for the fuzz below: every command with valid and

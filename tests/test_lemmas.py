@@ -3,13 +3,15 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from walkup import bistellar, constructions, lemmas
-from walkup.core import PreconditionError, from_facets
+from walkup.core import PreconditionError, _label_key, from_facets
 from walkup.isomorphism import automorphism_group, normalize_object
 from walkup.lemmas import (
+    GoodVertex,
     alpha,
     alpha_formula,
     candidate_graph,
@@ -260,6 +262,60 @@ def test_good_vertices(k39):
         for sigma1, sigma2 in g.partitions:
             assert sigma1.isdisjoint(sigma2)
             assert sigma1 | sigma2 | {g.vertex} == set(k39.labels)
+
+
+def _reference_disjoint_facet_links(K):
+    """Lemma 4.2's report and the good vertices on frozensets: the pairs by
+    set disjointness in facet order, the leftover vertex by set difference,
+    and the induced link on sigma as the maximal non-empty sets among
+    (f - {x}) & sigma over the facets f through x."""
+    facets = K.facets()
+    violations, by_vertex, pairs = [], {}, 0
+    for i, sigma1 in enumerate(facets):
+        for sigma2 in facets[i + 1 :]:
+            if sigma1 & sigma2:
+                continue
+            pairs += 1
+            (x,) = set(K.labels) - sigma1 - sigma2
+            by_vertex.setdefault(x, []).append((sigma1, sigma2))
+            for sigma in (sigma1, sigma2):
+                cut = {(f - {x}) & sigma for f in facets if x in f}
+                induced = {a for a in cut if a and not any(a < b for b in cut)}
+                edges = {a for a in induced if len(a) == 2}
+                points = [a for a in induced if len(a) == 1]
+                rim = frozenset().union(*edges)
+                triangle = {frozenset(e) for e in combinations(rim, 2)}
+                if not (
+                    len(rim) == 3 and edges == triangle and len(points) == 1
+                    and not points[0] & rim and len(induced) == 4
+                ):
+                    label = ",".join(sorted(sigma, key=_label_key))
+                    violations.append(
+                        f"lk({x}) induced on {label} is not a triangle plus a vertex"
+                    )
+    report = {
+        "name": "lemma4.2",
+        "ok": not violations,
+        "facts": {"disjoint_pairs": pairs},
+        "violations": violations,
+    }
+    goods = [GoodVertex(v, tuple(by_vertex[v])) for v in sorted(by_vertex, key=_label_key)]
+    return report, goods
+
+
+def test_disjoint_facet_links_match_the_frozenset_reference(k39, kernel_pool):
+    """Lemma 4.2 and `good_vertices` read the disjoint facet pairs and the
+    induced links off masks; a plain set computation gives the same reports,
+    violations in order, and the same good vertices."""
+    pool = [k39] + [K for name, K in kernel_pool if name.startswith("reduced9:")]
+    assert len(pool) == 21
+    failing = 0
+    for K in pool:
+        report, goods = _reference_disjoint_facet_links(K)
+        assert verify_disjoint_facet_links(K).as_dict() == report
+        assert good_vertices(K) == goods
+        failing += not report["ok"]
+    assert failing > 0  # the pool exercises the violation path too
 
 
 def test_good_vertex_links(k39, catalog):
