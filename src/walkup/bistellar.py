@@ -9,10 +9,11 @@ deletes a vertex and starring a vertex in a facet is its inverse.
 
 Validation: the public entry points check their input once per call
 (`removable_faces` and `proper_moves` need a pseudomanifold,
-`raise_min_degree` and `neighbourly_reduction` a combinatorial 3-manifold),
-and `apply_move` rejects a stale move.  Inside `random_three_sphere` and
-`neighbourly_reduction` each move is applied unchecked right after it was
-detected, and nothing is re-checked, as moves preserve the PL type.
+`degree_raising_moves` a 3-complex, `neighbourly_reduction` a 9-vertex
+combinatorial 3-manifold), and `apply_move` rejects a stale move.  Inside
+`random_three_sphere` and `neighbourly_reduction` each move is applied
+unchecked right after it was detected, and nothing is re-checked, as moves
+preserve the PL type.
 
 Detection scans a star table (`_StarTable`): the facet set and, for each
 face size k = 1..d, a map from each k-vertex face to the set of facets
@@ -38,7 +39,7 @@ from typing import Iterable
 
 from . import recognition
 from .core import (
-    Face, PreconditionError, SimplicialComplex, _bits, _label_key, _subfaces, from_facets,
+    Face, PreconditionError, SimplicialComplex, _bits, _label_key, _subfaces,
 )
 
 
@@ -104,7 +105,7 @@ def removable_faces(K: SimplicialComplex, i: int) -> list[BistellarMove]:
         raise PreconditionError(f"move type {i} out of range 1..{d}")
     if not recognition.is_pseudomanifold(K):
         raise PreconditionError("move detection needs a pseudomanifold")
-    return _as_moves(K, _detect(K, [i]))
+    return _as_moves(K, _StarTable(K.facet_masks, K.dim).moves([i]))
 
 
 class _StarTable:
@@ -172,11 +173,6 @@ class _StarTable:
         return [reduce(or_, vertex[1 << b]).bit_count() - 1 for b in range(len(vertex))]
 
 
-def _detect(K: SimplicialComplex, types: Iterable[int]) -> list[tuple[int, int, int]]:
-    """`_StarTable.moves` on a table built from the pure pseudomanifold K."""
-    return _StarTable(K.facet_masks, K.dim).moves(types)
-
-
 def _as_moves(K: SimplicialComplex, found: list[tuple[int, int, int]]) -> list[BistellarMove]:
     return [BistellarMove(K.face_labels(a), K.face_labels(b), i) for a, b, i in found]
 
@@ -187,7 +183,9 @@ def apply_move(K: SimplicialComplex, move: BistellarMove) -> SimplicialComplex:
         raise PreconditionError(f"stale move: {move.describe()} (alpha is not a face)")
     am = K.mask_of(move.alpha)
     status, beta = _classify_mask(K, am)
-    if status != REMOVABLE or K.face_labels(beta) != frozenset(move.beta):
+    if status == REMOVABLE and K.face_labels(beta) != frozenset(move.beta):
+        status = f"the opposing face is {{{','.join(sorted(K.face_labels(beta), key=_label_key))}}}"
+    if status != REMOVABLE:
         raise PreconditionError(f"stale move: {move.describe()} ({status})")
     table = _StarTable(K.facet_masks, K.dim)
     table.apply(am, beta)
@@ -195,25 +193,28 @@ def apply_move(K: SimplicialComplex, move: BistellarMove) -> SimplicialComplex:
     return SimplicialComplex._from_masks(table.facets, K.labels)
 
 
-def star_vertex(K: SimplicialComplex, facet: Face, label) -> SimplicialComplex:
-    """Replace a facet by the cone over its boundary from a fresh vertex."""
-    target = frozenset(str(v) for v in facet)
-    if target not in K.facets():
-        raise PreconditionError(f"{sorted(target)} is not a facet")
-    new = str(label)
-    if new in K.labels:
-        raise PreconditionError(f"label {new!r} is already a vertex")
-    kept = [f for f in K.facets() if f != target]
-    added = [(target - {w}) | {new} for w in target]
-    return from_facets(kept + added)
-
-
 # -- degree raising and neighbourly reduction ---------------------------------
 
 
 def vertex_degrees(K: SimplicialComplex) -> dict[str, int]:
-    """Link vertex counts: the popcount of the union of a vertex's facets, less 1."""
-    return dict(zip(K.labels, _StarTable(K.facet_masks, max(K.dim, 1)).degrees()))
+    """Link vertex counts, by label."""
+    return {v: K.degree([v]) for v in K.labels}
+
+
+def _raising_moves(table: _StarTable, um: int) -> list[tuple[int, int, int]]:
+    """The 1-moves whose new edge holds the vertex um, in `_StarTable.moves`
+    order.  Each removes the triangle a = f ^ um of a facet f through um; two
+    facets through a triangle are tetrahedra, so this is exact on any 3-complex."""
+    moves = []
+    for f in table.stars[1][um]:
+        a = f ^ um
+        through = table.stars[3].get(a, ())
+        if len(through) == 2:
+            g, h = through
+            if g ^ h not in table.stars[2]:
+                moves.append((a, g ^ h, 1))
+    moves.sort(key=lambda m: (_bits(m[0]), _bits(m[1])))
+    return moves
 
 
 def degree_raising_moves(K: SimplicialComplex, u) -> list[BistellarMove]:
@@ -221,45 +222,22 @@ def degree_raising_moves(K: SimplicialComplex, u) -> list[BistellarMove]:
     if K.dim != 3:
         raise PreconditionError("degree raising is a dimension-3 operation")
     um = K.mask_of([u])
-    # every facet through a triangle is a tetrahedron, so `_detect` is exact
-    # here on any 3-complex; the moves at u are those whose new edge holds u
-    return _as_moves(K, [m for m in _detect(K, [1]) if m[1] & um])
-
-
-def raise_min_degree(K: SimplicialComplex) -> BistellarMove:
-    """A 1-move raising the degree of a minimum-degree vertex.
-
-    Guaranteed to exist for combinatorial 3-manifolds on at most 9 vertices
-    with minimum degree <= n-2; its absence is surfaced as LemmaViolation
-    because it would falsify that guarantee.
-    """
-    n = K.vertex_count
-    if n > 9:
-        raise PreconditionError(f"degree raising is guaranteed only for n <= 9, got {n}")
-    if not recognition.is_combinatorial_3_manifold(K):
-        raise PreconditionError("degree raising needs a combinatorial 3-manifold")
-    return _as_moves(K, [_raise_min_degree(_StarTable(K.facet_masks, 3), K.labels)])[0]
+    return _as_moves(K, _raising_moves(_StarTable(K.facet_masks, 3), um))
 
 
 def _raise_min_degree(table: _StarTable, labels: tuple[str, ...]) -> tuple[int, int, int]:
+    """The first 1-move raising the degree of the first minimum-degree vertex.
+    One exists on a combinatorial 3-manifold on at most 9 vertices with
+    minimum degree <= n-2; its absence would falsify that, so it is surfaced
+    as LemmaViolation."""
     degrees = table.degrees()
-    k, n = min(degrees), len(labels)
-    if k > n - 2:
-        raise PreconditionError(f"minimum degree {k} exceeds n-2 = {n - 2} (already neighbourly)")
+    k = min(degrees)
     um = 1 << degrees.index(k)  # ids follow label order
-    # a 1-move whose new edge beta holds u removes a triangle a opposite u in
-    # a facet f through u; beta is u and the vertex opposite a in the other facet
-    triangles, edges = table.stars[3], table.stars[2]
-    moves = []
-    for f in table.stars[1][um]:
-        a = f ^ um
-        g, h = triangles[a]
-        if g ^ h not in edges:
-            moves.append((a, g ^ h, 1))
+    moves = _raising_moves(table, um)
     if not moves:
-        u = labels[um.bit_length() - 1]
+        u, n = labels[um.bit_length() - 1], len(labels)
         raise LemmaViolation(f"no 1-move raises deg({u}) = {k} on an n={n} combinatorial 3-manifold")
-    return min(moves, key=lambda m: (_bits(m[0]), _bits(m[1])))
+    return moves[0]
 
 
 def neighbourly_reduction(
@@ -286,7 +264,7 @@ def proper_moves(K: SimplicialComplex) -> list[BistellarMove]:
     """All i-moves with 0 < i < dim on the pseudomanifold K."""
     if K.dim > 1 and not recognition.is_pseudomanifold(K):
         raise PreconditionError("move detection needs a pseudomanifold")
-    return _as_moves(K, _detect(K, range(1, K.dim)))
+    return _as_moves(K, _StarTable(K.facet_masks, K.dim).moves(range(1, K.dim)))
 
 
 # -- seeded random spheres -----------------------------------------------------
@@ -319,7 +297,7 @@ def random_three_sphere(seed: int, vertices: int = 9) -> SimplicialComplex:
         for _ in range(rng.randrange(0, 3)):
             random_proper_step()
         # star a random facet from vertex n, labelled n + 1: the labels stay
-        # 1..n+1 in id order, as `star_vertex` would number them
+        # 1..n+1 in id order
         table.apply(rng.choice(sorted(table.facets)), 1 << len(labels))
         labels += (str(len(labels) + 1),)
     for _ in range(_CHURN):

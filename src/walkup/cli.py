@@ -260,7 +260,7 @@ def _cmd_reduce(args) -> tuple[bool, dict, str]:
     return True, data, body
 
 
-# claim -> its verifier; lemma3.1 reads a catalog labelling, the others a complex
+# claim -> its verifier; lemma3.1 reads a catalog name, the others a complex
 _CLAIMS = {
     "lemma3.1": lemmas.coclique_case_check,
     "lemma4.1": lemmas.verify_complement_dichotomy,
@@ -271,14 +271,7 @@ _CLAIMS = {
 
 
 def _cmd_verify(args) -> tuple[bool, dict, str]:
-    if args.claim == "lemma3.1":
-        if not args.sphere:
-            raise PreconditionError("verify lemma3.1 needs --sphere (one of S2..S9)")
-        subject = args.sphere
-    elif not args.complex:
-        raise PreconditionError(f"verify {args.claim} needs --complex")
-    else:
-        subject = _resolve_complex(args.complex)
+    subject = args.complex if args.claim == "lemma3.1" else _resolve_complex(args.complex)
     report = _CLAIMS[args.claim](subject)
     data = report.as_dict()
     lines = [f"{report.name}: {'pass' if report.ok else 'FAIL'}"]
@@ -389,8 +382,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", parents=[common], help="mechanical checks of the published claims")
     p.add_argument("claim", choices=list(_CLAIMS))
-    p.add_argument("--sphere", help="catalog labeling for lemma3.1 (S2..S9)")
-    p.add_argument("--complex", help="target complex for the other claims")
+    p.add_argument("--complex", required=True,
+                   help="target complex; for lemma3.1 a catalog labeling, S2..S9")
 
     p = sub.add_parser("enumerate", parents=[common],
                        help="censuses of spheres and 9-vertex manifolds")

@@ -9,9 +9,10 @@ complex.
 Each complex keeps one star table per face size, built on first use in one
 pass over the facets' subfaces and cached write-once: for every k-vertex
 face, the number of facets through it and their union.  Face lists, the
-f-vector and face membership are read off these tables, so the recognition
-predicates, the pair degrees of the canonical search and the homology
-boundaries share one pass per face size instead of each building its own.
+f-vector, face membership and degrees are read off these tables, so the
+recognition predicates, the pair degrees of the canonical search and the
+homology boundaries share one pass per face size instead of each building
+its own.
 The top faces are facets, so their list and count are read off the sorted
 facet masks with no table.
 """
@@ -235,14 +236,6 @@ class SimplicialComplex:
         """
         return self._from_masks(self.link_masks(self._face_mask(face)), self.labels)
 
-    def star(self, face: Face) -> "SimplicialComplex":
-        sigma = self._face_mask(face)
-        return self._from_masks((f for f in self.facet_masks if f & sigma == sigma), self.labels)
-
-    def induced_subcomplex(self, vertices: Face) -> "SimplicialComplex":
-        umask = self.mask_of(vertices)
-        return self._from_masks((f & umask for f in self.facet_masks), self.labels)
-
     def simplicial_complement(self, face: Face) -> "SimplicialComplex":
         sigma = self._face_mask(face)
         rest = ((1 << self.vertex_count) - 1) & ~sigma
@@ -305,7 +298,10 @@ class SimplicialComplex:
         return table
 
     def degree(self, face: Face) -> int:
-        return self.link(face).vertex_count
+        """The vertex count of the link: the union of the facets through the
+        face, less the face."""
+        sigma = self._face_mask(face)
+        return self.stars(sigma.bit_count())[1][sigma].bit_count() - sigma.bit_count()
 
     # -- dunder ------------------------------------------------------------
 

@@ -6,7 +6,7 @@ the published S5 and S9 case lists each name one orbit twice (`C2`/`C3` and
 `C6`/`C7`, swapped by `(1 3)(4 5)` and `(2 3)(5 6)` of the published groups),
 so the true counts are the published ones less one.  The witnesses are
 checked by plain set mapping, independently of `walkup.isomorphism`.
-`walkup verify lemma3.1 --sphere S5|S9` verifies the published claim
+`walkup verify lemma3.1 --complex S5|S9` verifies the published claim
 verbatim and so still exits 2, naming the duplicate pair.
 """
 

@@ -15,10 +15,8 @@ from walkup.bistellar import (
     degree_raising_moves,
     neighbourly_reduction,
     proper_moves,
-    raise_min_degree,
     random_three_sphere,
     removable_faces,
-    star_vertex,
 )
 from walkup.core import PreconditionError, SimplicialComplex, from_facets, to_text
 from walkup.isomorphism import canonical_form
@@ -82,18 +80,11 @@ def test_stale_move_rejected():
         apply_move(after, move)
 
 
-def test_star_vertex(catalog):
-    s1 = catalog["S1"]
-    starred = star_vertex(s1, s1.facets()[0], "e")
-    assert canonical_form(starred) == canonical_form(catalog["S2"])
-    # a starred 3-complex gains (1, 4, 6, 3)
-    s35 = constructions.standard_sphere(3)
-    starred3 = star_vertex(s35, s35.facets()[0], "6")
-    assert tuple(b - a for a, b in zip(s35.f_vector(), starred3.f_vector())) == (1, 4, 6, 3)
-    with pytest.raises(PreconditionError):
-        star_vertex(s1, ["a", "b"], "f")
-    with pytest.raises(PreconditionError):
-        star_vertex(s1, s1.facets()[0], s1.labels[0])
+def _star_first_facet(K, label):
+    """K with its first facet replaced by the cone from the fresh vertex
+    `label` over the facet's boundary."""
+    target, *kept = K.facets()
+    return from_facets(kept + [(target - {w}) | {label} for w in target])
 
 
 def test_raise_min_degree_guarantee():
@@ -101,7 +92,7 @@ def test_raise_min_degree_guarantee():
         K = random_three_sphere(seed)
         if recognition.is_neighbourly(K):
             continue
-        move = raise_min_degree(K)
+        move = neighbourly_reduction(K)[1][0]
         degrees = bistellar.vertex_degrees(K)
         low = min(degrees.values())
         after = apply_move(K, move)
@@ -111,9 +102,10 @@ def test_raise_min_degree_guarantee():
 
 
 def test_raise_min_degree_matches_the_move_scan():
-    """At every step of seeded reductions, the move `_raise_min_degree` finds
-    from the facets through u is the least 1-move of the whole table whose
-    new edge holds u, a least-degree vertex."""
+    """At every step of seeded reductions, the 1-moves `_raising_moves` finds
+    from the facets through u are those of the whole table whose new edge
+    holds u, in the same order, and `_raise_min_degree` takes the first at a
+    least-degree vertex u."""
     steps = 0
     for seed in range(12):
         K = random_three_sphere(seed)
@@ -121,29 +113,27 @@ def test_raise_min_degree_matches_the_move_scan():
         while len(table.stars[2]) < 36:
             degrees = table.degrees()
             um = 1 << degrees.index(min(degrees))
-            expected = [m for m in table.moves([1]) if m[1] & um][0]
-            assert bistellar._raise_min_degree(table, K.labels) == expected
-            table.apply(*expected[:2])
+            expected = [m for m in table.moves([1]) if m[1] & um]
+            assert bistellar._raising_moves(table, um) == expected
+            assert bistellar._raise_min_degree(table, K.labels) == expected[0]
+            table.apply(*expected[0][:2])
             steps += 1
     assert steps > 40
 
 
 def test_raise_min_degree_at_degree_four():
     # starring into an 8-vertex sphere forces a degree-4 minimum vertex
-    base = random_three_sphere(3, vertices=8)
-    K = star_vertex(base, base.facets()[0], "9")
+    K = _star_first_facet(random_three_sphere(3, vertices=8), "9")
     degrees = bistellar.vertex_degrees(K)
     assert min(degrees.values()) == 4 == degrees["9"]
-    move = raise_min_degree(K)
+    move = neighbourly_reduction(K)[1][0]
     after = bistellar.vertex_degrees(apply_move(K, move))
     assert after["9"] == 5
 
 
-def test_raise_min_degree_preconditions(k39, m10):
+def test_raise_min_degree_preconditions(m10):
     with pytest.raises(PreconditionError):
-        raise_min_degree(k39)  # already neighbourly: min degree is n-1
-    with pytest.raises(PreconditionError):
-        raise_min_degree(m10)  # ten vertices
+        neighbourly_reduction(m10)  # ten vertices
 
 
 def test_connected_sum_admits_no_raise_at_vertex_6(m10):
@@ -168,7 +158,7 @@ def test_vertex_collapse_three_move():
     # starring into a facet of the 5-vertex sphere leaves a degree-4 vertex
     # whose 3-move deletes it again
     s35 = constructions.standard_sphere(3)
-    starred = star_vertex(s35, s35.facets()[0], "6")
+    starred = _star_first_facet(s35, "6")
     threes = removable_faces(starred, 3)
     assert frozenset({"6"}) in {m.alpha for m in threes}
     move = next(m for m in threes if m.alpha == frozenset({"6"}))
@@ -292,6 +282,7 @@ def test_degree_raising_moves_match_the_reference(kernel_pool):
                         expected.add((f - {u}, beta))
             got = degree_raising_moves(K, u)
             assert {(m.alpha, m.beta) for m in got} == expected, (name, u)
+            assert got == sorted(got, key=BistellarMove.sort_key), (name, u)
             assert all(u in m.beta and m.move_type == 1 for m in got)
 
 
@@ -420,8 +411,6 @@ def test_entry_points_reject_bad_inputs(broken, torus_join):
     with pytest.raises(PreconditionError, match="pseudomanifold"):
         proper_moves(broken)
     assert recognition.is_pseudomanifold(torus_join)
-    with pytest.raises(PreconditionError, match="3-manifold"):
-        raise_min_degree(torus_join)
     with pytest.raises(PreconditionError, match="3-manifold"):
         neighbourly_reduction(torus_join)
 

@@ -181,7 +181,7 @@ def test_cli_json_reports_validate_against_schema():
         ["alpha", "--k", "6"],
         ["moves", "list", "--complex", "k39", "--type", "2"],
         ["verify", "eq1", "--complex", "k39"],
-        ["verify", "lemma3.1", "--sphere", "S7"],
+        ["verify", "lemma3.1", "--complex", "S7"],
         ["nonsense"],
     ]
     for argv in commands:
@@ -308,7 +308,22 @@ def test_verify_exit_codes():
     assert run(["verify", "eq1", "--complex", "m10"]).exit_code == 1
     assert run(["verify", "lemma3.1"]).exit_code == 1
     # verified failures exit 2 (published S5 count is off by a duplicate orbit)
-    assert run(["verify", "lemma3.1", "--sphere", "S5"]).exit_code == 2
+    assert run(["verify", "lemma3.1", "--complex", "S5"]).exit_code == 2
+
+
+def test_verify_takes_one_subject_option():
+    """`--complex` names every claim's subject, for lemma3.1 a catalog name;
+    a second subject option, an unknown case or none at all exits 1."""
+    for argv, message in [
+        (["verify", "lemma4.2", "--complex", "k39", "--sphere", "S5"], "unrecognized arguments"),
+        (["verify", "lemma3.1", "--complex", "nosuch"], "no case data"),
+        (["verify", "lemma3.1"], "--complex"),
+    ]:
+        done = _invoke(*argv)
+        assert done.returncode == 1, argv
+        assert done.stdout.startswith("error: ") and message in done.stdout, argv
+        assert done.stderr == "", argv
+    assert _invoke("verify", "lemma3.1", "--complex", "S5").returncode == 2
 
 
 def test_enumerate_spheres_cli(tmp_path):
@@ -368,6 +383,13 @@ def test_moves_apply_cli():
     before = core.from_text(gen.text).f_vector()
     after = applied.report["data"]["f_vector"]
     assert tuple(after) == (before[0], before[1] + 1, before[2] + 2, before[3] + 1)
+
+
+def test_stale_move_names_the_opposing_face():
+    # alpha = {1} is removable on the 5-cycle, but its opposing face is {2,5}
+    outcome = run(["moves", "apply", "--complex", "cycle:5", "--alpha", "1", "--beta", "3"])
+    assert outcome.exit_code == 1
+    assert outcome.report["error"].endswith("(the opposing face is {2,5})")
 
 
 def test_reduce_already_neighbourly():
