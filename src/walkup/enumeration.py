@@ -8,9 +8,12 @@ vertex that can close it, introducing fresh vertices in first-use order.  A
 completed pool has every ridge in zero or two facets; canonical-form
 rejection then decides what was found.
 
-The search branches on the open ridge with the fewest candidate vertices, the
-least ridge mask on ties, and stops scanning at a count of 0 or 1: the
-most-constrained-first rule of Knuth's "Dancing links" (2000).  The counts
+The search branches on the open ridge with the fewest candidate vertices and
+stops scanning at a count of 0 or 1: the most-constrained-first rule of
+Knuth's "Dancing links" (2000).  Among the ridges with fewest (at least 2),
+it takes the one whose most-loaded vertex, its vertex with the most facets,
+has the most, and then the least ridge mask: a loaded vertex is near its
+seal, where the checks below refuse most.  The counts
 come from the closed-neighbour word (see `_ridge_table`), with d shifts and
 one popcount per open ridge.  They leave out what `try_add` must refuse: a
 dead vertex, one whose star is sealed, and, on a ridge through a vertex
@@ -38,11 +41,19 @@ closes: its facet count, then, in d = 3, the sorted facet counts at the pairs
 through it (its link's vertex degrees), a cheap invariant before the
 canonical form (McKay, "Isomorph-free exhaustive generation", 1998).  A
 vertex closing with fewer facets than vertex 0, or as many and a smaller
-type, is rejected, so vertex 0 has least type in every completion.
+type, is rejected, so vertex 0 has least type in every completion.  With
+2n - 6 facets pinned at vertex 0 in d = 3, the most a vertex may have (see
+below), every vertex seals with exactly 2n - 6, so its link has n - 1
+vertices and its type lists the facet counts at all of its pairs.  A pair
+{b, w} that seals with fewer facets than vertex 0's least link degree
+then puts b's type below vertex 0's, and the check at b's seal would refuse
+every completion of the pool: the pair's seal is refused at once.
 Conversely, label a least-type vertex v of a complex M as 0, its link as the
 pinned cycle or census seed isomorphic to it, and the rest in first-use
-order: every star closing in a sub-pool of that copy is its star in M, of
-type at least v's, so no check refuses the copy.  Every complex is thus
+order: every star closing in a sub-pool of that copy is its star in M, a
+vertex's of type at least v's and a pair's with at least as many facets as
+v's least link degree when the pair check applies, so no check refuses the
+copy.  Every complex is thus
 reconstructed from each of its least-type vertices, under each labelling of
 that vertex's link as the pinned one, and duplicates fall to the
 canonical-form filter.
@@ -50,12 +61,12 @@ canonical-form filter.
 So the seed's own labels are the search's to choose.  Relabelling the pinned
 link by a permutation composes each of those labellings with it, a
 bijection, so every task finds the same classes, each as often: completions,
-isomorph rejections and representatives do not depend on it.  The tree does.
-The canonical seeds list their vertices by ascending degree, and `_choose`
-breaks ties on the least ridge mask and tries candidates low bit first; the
-3-manifold censuses pin each seed with its labels reversed, so the
-high-degree link vertices take the low labels, which halves the neighbourly
-census's tree.  `label_seed` replaces the reversal with a random labelling.
+isomorph rejections and representatives do not depend on it.  The tree does,
+through the last tie on the ridge mask and the low-bit-first order of the
+candidates, but the load rule leaves little to it.  The canonical seeds
+list their vertices by ascending degree; the 3-manifold censuses pin each
+seed with its labels reversed, so the high-degree link vertices take the
+low labels.  `label_seed` replaces the reversal with a random labelling.
 
 Cheap necessary conditions prune the tree.  The ridge cap is derived from
 n: a vertex link has at most 3(n - 1) - 6 edges in d = 3, the most a
@@ -94,13 +105,15 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 
 from . import homology
-from .core import PreconditionError, SimplicialComplex, _bits, _components, _iter_bits
+from .core import PreconditionError, SimplicialComplex, _bits, _components, _iter_bits, _subfaces
 from .isomorphism import canonical_form, canonical_relabel
 
 _STAT_KEYS = ("nodes", "completions", "isomorph_rejections", "degree_prunes", "key_prunes")
+# bits per vertex in a load word (see `_ClosureSearch`): a vertex has at most
+# 2n - 6 <= 26 facets (n <= 16), and 31 more still fit below the next field
+_FIELD = 6
 
 
 @dataclass
@@ -118,34 +131,37 @@ class CensusResult:
 
 
 @lru_cache(maxsize=None)
-def _facet_table(d: int, n: int) -> dict[int, tuple[int, int, int, tuple, tuple]]:
+def _facet_table(d: int, n: int) -> dict[int, tuple[int, int, int, tuple, tuple, int, int]]:
     """For each (d+1)-subset f of the n vertices: its top vertex, its ridges as
     a face set, the bits its ridges set in a neighbour word (see
-    `_ridge_table`), and (vertex, faces through it) for each of its vertices
-    and (pair, faces through it) for each of its vertex pairs when d = 3.
+    `_ridge_table`), (vertex, faces through it) for each of its vertices,
+    (pair, faces through it) for each of its vertex pairs and those pairs as
+    a face set when d = 3, and a one in its vertices' fields of a load word.
 
     A face set is an int whose bit m is set when the face with vertex mask m is
-    in it; the sets here list only ridges and facets (sizes d and d + 1).
+    in it; the "faces through" sets list only ridges and facets (sizes d and
+    d + 1), gathered in one pass over them.
     """
-    faces = [m for m in range(1 << n) if m.bit_count() in (d, d + 1)]
     closes = _ridge_table(d, n)[1]
-
-    def through(s: int) -> int:
-        return sum(1 << m for m in faces if m & s == s)
-
-    at_vertex = [through(1 << v) for v in range(n)]
+    through = [0] * (1 << n)
+    for m in range(1 << n):
+        if m.bit_count() in (d, d + 1):
+            for s in _subfaces(m)[1] + (_subfaces(m)[2] if d == 3 else ()):
+                through[s] |= 1 << m
     table = {}
-    for f in faces:
+    for f in range(1 << n):
         if f.bit_count() == d + 1:
             bits = _bits(f)
-            pairs = [(1 << a) | (1 << b) for a, b in combinations(bits, 2)] if d == 3 else []
+            pairs = _subfaces(f)[2] if d == 3 else ()
             ridges = [f ^ (1 << b) for b in bits]
             table[f] = (
                 bits[-1],
                 sum(1 << r for r in ridges),
                 sum(closes[r] for r in ridges),  # distinct ridges set distinct bits
-                tuple((b, at_vertex[b]) for b in bits),
-                tuple((p, through(p)) for p in pairs),
+                tuple((b, through[1 << b]) for b in bits),
+                tuple((p, through[p]) for p in pairs),
+                sum(1 << p for p in pairs),
+                sum(1 << _FIELD * b for b in bits),
             )
     return table
 
@@ -153,28 +169,32 @@ def _facet_table(d: int, n: int) -> dict[int, tuple[int, int, int, tuple, tuple]
 @lru_cache(maxsize=None)
 def _pair_table(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     """For each vertex b: the "faces through" sets of the pairs {b, w}."""
-    through = dict(p for *_, at_pairs in _facet_table(d, n).values() for p in at_pairs)
+    through = dict(p for *_, at_pairs, _, _ in _facet_table(d, n).values() for p in at_pairs)
     return tuple(tuple(t for p, t in through.items() if p >> b & 1) for b in range(n))
 
 
 @lru_cache(maxsize=None)
-def _ridge_table(d: int, n: int) -> tuple[list, list]:
+def _ridge_table(d: int, n: int) -> tuple[list, list, list]:
     """For each ridge mask r (a d-subset of the n vertices): the offsets of the
-    fields of the (d-1)-faces r - {x} in the closed-neighbour word, and the
-    word with bit x of each such field set, which r ORs in when it closes.
+    fields of the (d-1)-faces r - {x} in the closed-neighbour word, the word
+    with bit x of each such field set, which r ORs in when it closes, and
+    the top bit of the field of each vertex of r in a load word.
 
-    The word packs one n-bit field per (d-1)-face e, in increasing order of
-    e; bit v of e's field is set when the ridge e + {v} is closed.
+    The closed-neighbour word packs one n-bit field per (d-1)-face e, in
+    increasing order of e; bit v of e's field is set when the ridge e + {v}
+    is closed.  A load word packs one `_FIELD`-bit field per vertex.
     """
     bases = [m for m in range(1 << n) if m.bit_count() == d - 1]
     offset = {e: i * n for i, e in enumerate(bases)}
     shifts: list = [()] * (1 << n)
     closes = [0] * (1 << n)
+    guards = [0] * (1 << n)
     for r in range(1 << n):
         if r.bit_count() == d:
             shifts[r] = tuple(offset[r ^ (1 << x)] for x in _bits(r))
             closes[r] = sum(1 << (s + x) for s, x in zip(shifts[r], _bits(r)))
-    return shifts, closes
+            guards[r] = sum(1 << _FIELD * x + _FIELD - 1 for x in _bits(r))
+    return shifts, closes, guards
 
 
 class _ClosureSearch:
@@ -182,24 +202,27 @@ class _ClosureSearch:
     n = `max_vertices` vertices, on the (d, n) tables; `_census_task` is the
     one driver that builds it.
 
-    The state is three face sets (see `_facet_table`): the facets, the
-    ridges in at least one facet, and the open ridges, which lie in exactly
-    one; two neighbour words (see `_ridge_table`), one n-bit field per
-    (d-1)-face, `cn` of the closed ridges and `pw` of the present ones; two
-    vertex masks, `dead` of the sealed vertices, which can take no more
-    facets, and `rfull` of those whose link has `ridge_cap` edges,
-    3(n - 1) - 6 in d = 3 and n - 1 in d = 2 (see the module docstring);
-    and the vertex count.  Facet counts at a vertex or pair, seal status and ridge
-    counts are popcounts of ANDs with the "faces through" sets.  `try_add`
-    keeps every check; the words and masks only let `_choose` leave out
-    candidates it would refuse.  `min_seal` is the least facet count a
-    vertex may have when its star closes; `degree_prunes` counts the
-    additions it rejected.  A vertex that closes with exactly `min_seal`
-    facets must not have a link type (see `_link_type`) below `min_type`;
-    `key_prunes` counts those.  `pin` sets both from vertex 0's star.
-    `completions` counts every pool with no open ridge, also those that
-    close on fewer vertices than the census asks for, which its
-    `on_complete` drops.
+    The state is four face sets (see `_facet_table`): the facets, the
+    ridges in at least one facet, the open ridges, which lie in exactly
+    one, and `sealed`, the pairs whose star is closed (d = 3); two neighbour
+    words (see `_ridge_table`), one n-bit field per (d-1)-face, `cn` of the
+    closed ridges and `pw` of the present ones; two vertex masks, `dead` of
+    the sealed vertices, which can take no more facets, and `rfull` of
+    those whose link has `ridge_cap` edges, 3(n - 1) - 6 in d = 3 and
+    n - 1 in d = 2 (see the module docstring); the load word `load`, each
+    vertex's facet count in its `_FIELD`-bit field; and the vertex count.
+    `dead` and `sealed` refuse a facet at a sealed vertex or pair with one
+    AND each; other facet counts, seals and ridge counts are popcounts of
+    ANDs with the "faces through" sets.  `try_add` keeps every check;
+    the words and masks only let `_choose` leave out candidates it would
+    refuse.  `min_seal` is the least facet count a vertex may have when its
+    star closes; `degree_prunes` counts the additions it rejected.  A
+    vertex that closes with exactly `min_seal` facets must not have a link
+    type (see `_link_type`) below `min_type`, nor a pair fewer facets than
+    `min_pair` (see the module docstring); `key_prunes` counts both.  `pin`
+    sets all three from vertex 0's star.  `completions` counts every pool
+    with no open ridge, also those that close on fewer vertices than the
+    census asks for, which its `on_complete` drops.
     """
 
     def __init__(self, d: int, max_vertices: int):
@@ -211,9 +234,11 @@ class _ClosureSearch:
         self.max_facets = 2 * n - 4 if d == 2 else n * (n - 3) // 2
         self.min_seal = 0
         self.min_type: tuple = ()
+        self.min_pair = 0
         self.table = _facet_table(d, n)
         self.pairs = _pair_table(d, n)
-        self.shifts, self.closes = _ridge_table(d, n)
+        self.shifts, self.closes, self.guards = _ridge_table(d, n)
+        self.ones = sum(1 << _FIELD * v for v in range(n))
         self.facets = 0
         self.present = 0
         self.open = 0
@@ -221,6 +246,8 @@ class _ClosureSearch:
         self.pw = 0
         self.dead = 0
         self.rfull = 0
+        self.sealed = 0
+        self.load = 0
         self.used = 0
         self._saved: list[tuple[int, ...]] = []
         self.nodes = 0
@@ -247,6 +274,9 @@ class _ClosureSearch:
             ok = self.try_add(f)
             assert ok, "a pinned star must always insert cleanly"
         self.min_type = self._link_type(0, self.facets)
+        # vertex 0's least link degree: 0 unless its link has all n - 1 other
+        # vertices, that is unless min_seal = 2n - 6 in d = 3
+        self.min_pair = min(self.min_type[1], default=0)
 
     def try_add(self, fmask: int) -> bool:
         """Add one facet if the ridge cap and every seal check allow it.
@@ -254,23 +284,19 @@ class _ClosureSearch:
         The caller has ruled out a full pool, a facet already present and a
         ridge of it already in two facets; False leaves the state untouched.
         """
-        top, ridges, word, at_vertices, at_pairs = self.table[fmask]
-        facets, open_ = self.facets, self.open
+        top, ridges, word, at_vertices, at_pairs, pair_set, tally = self.table[fmask]
+        if fmask & self.dead or pair_set & self.sealed:
+            return False  # a sealed vertex or edge link
         present = self.present | ridges
-        rfull = self.rfull
+        rfull, cap = self.rfull, self.ridge_cap
         for b, through in at_vertices:
-            if facets & through and not open_ & through:
-                return False  # sealed vertex link
             edges = (present & through).bit_count()
-            if edges > self.ridge_cap:
-                return False
-            if edges == self.ridge_cap:
+            if edges >= cap:
+                if edges > cap:
+                    return False
                 rfull |= 1 << b
-        for _, through in at_pairs:
-            if facets & through and not open_ & through:
-                return False  # sealed edge link
-        facets |= 1 << fmask
-        open_ ^= ridges
+        facets = self.facets | 1 << fmask
+        open_ = self.open ^ ridges
         dead = self.dead
         for b, through in at_vertices:
             if not open_ & through:
@@ -285,9 +311,17 @@ class _ClosureSearch:
                 if not self._vertex_link_ok(b, mine, (present & through).bit_count()):
                     return False
                 dead |= 1 << b
+        sealed = self.sealed
         for p, through in at_pairs:
-            if not open_ & through and not self._link_is_cycle(p, facets & through):
-                return False
+            if not open_ & through:
+                mine = facets & through
+                seal = mine.bit_count()
+                if seal < self.min_pair:
+                    self.key_prunes += 1
+                    return False
+                if seal >= 6 and not self._link_is_cycle(p, mine):
+                    return False
+                sealed |= 1 << p
         cn = self.cn
         closing = ridges & self.open
         while closing:
@@ -295,16 +329,20 @@ class _ClosureSearch:
             cn |= self.closes[low.bit_length() - 1]
             closing ^= low
         self._saved.append((
-            self.facets, self.present, self.open, self.cn, self.pw, self.dead, self.rfull, self.used
+            self.facets, self.present, self.open, self.cn, self.pw, self.dead, self.rfull,
+            self.sealed, self.load, self.used,
         ))
         self.facets, self.present, self.open = facets, present, open_
         self.cn, self.pw, self.dead, self.rfull = cn, self.pw | word, dead, rfull
-        self.used = max(self.used, top + 1)
+        self.sealed, self.load = sealed, self.load + tally
+        if top >= self.used:
+            self.used = top + 1
         return True
 
     def undo(self) -> None:
         (
-            self.facets, self.present, self.open, self.cn, self.pw, self.dead, self.rfull, self.used
+            self.facets, self.present, self.open, self.cn, self.pw, self.dead, self.rfull,
+            self.sealed, self.load, self.used,
         ) = self._saved.pop()
 
     # -- seal validation ---------------------------------------------------
@@ -373,12 +411,14 @@ class _ClosureSearch:
         of `rfull`, v must also make r - {y} + {v} present: bit v of that
         face's field in `pw`.  The candidates are the vertices that can close
         r, plus the vertex of the facet holding r unless another ridge of
-        that facet is closed.  The ridge has the fewest candidates, the least
-        mask on ties; the scan stops at 0 or 1.
+        that facet is closed.  The scan stops at the first ridge with 0 or 1
+        candidates.  Otherwise the ridge has the fewest candidates, then the
+        most facets at its most-loaded vertex, read off the load word, then
+        the least mask.
         """
-        cn, pw, rfull, shifts = self.cn, self.pw, self.rfull, self.shifts
+        cn, pw, rfull, shifts, guards = self.cn, self.pw, self.rfull, self.shifts, self.guards
         allowed = ((1 << min(self.used + 1, self.max_vertices)) - 1) & ~self.dead
-        best, fewest, choice = 0, self.max_vertices + 1, 0
+        best, fewest, choice, heavier = 0, self.max_vertices + 1, 0, -1
         rest = self.open
         while rest:
             low = rest & -rest
@@ -393,10 +433,21 @@ class _ClosureSearch:
                     if ridge & ~(1 << y) & rfull:
                         candidates &= pw >> s
             count = candidates.bit_count()
+            if count > fewest:
+                continue
+            if count <= 1:
+                return ridge, candidates
             if count < fewest:
-                best, fewest, choice = ridge, count, candidates
-                if count <= 1:
-                    break
+                best, fewest, choice, heavier = ridge, count, candidates, -1
+                continue
+            if heavier < 0:
+                # adding 31 - k to every field of the load word, k the facets
+                # at the best ridge's most-loaded vertex, sets the top bit of
+                # the fields of the vertices with more
+                k = max([self.load >> _FIELD * b & 31 for b in _bits(best)])
+                heavier = self.load + self.ones * (31 - k)
+            if heavier & guards[ridge]:
+                best, choice, heavier = ridge, candidates, -1
         return best, choice
 
 
@@ -463,8 +514,8 @@ def enumerate_two_spheres(n: int) -> CensusResult:
     the cycle 1..k, and every other vertex must close with at least k
     facets, so vertex 0 has least degree in every completion.
     """
-    if n < 4 or n > 8:
-        raise PreconditionError(f"2-sphere census covers 4 <= n <= 8, got {n}")
+    if n < 4 or n > 10:
+        raise PreconditionError(f"2-sphere census covers 4 <= n <= 10, got {n}")
     cycles = [tuple(1 | 1 << i | 1 << (i % k + 1) for i in range(1, k + 1)) for k in range(3, n)]
     ordered, stats = _census(2, n, cycles)
     return CensusResult(ordered, {"two_sphere": len(ordered)}, stats)
@@ -480,7 +531,7 @@ def _seed_stars(sizes: Iterable[int], label_seed: int | None) -> list[tuple[int,
     vertices in `sizes`, the link's vertex i taking label perm[i] + 1: its
     labels reversed or, given `label_seed`, relabelled at random from it
     (see the module docstring).  Reversed, the neighbourly census visits
-    10,140 nodes, not 21,314."""
+    6,207 nodes, against 6,460 with the seeds' own labels."""
     rng = random.Random(label_seed) if label_seed is not None else None
     stars = []
     for m in sizes:
@@ -524,7 +575,7 @@ def enumerate_neighbourly_9_manifolds(
 
 def enumerate_all_9_manifolds(threads: int = 1) -> CensusResult:
     """The full census of 9-vertex combinatorial 3-manifolds: one pinned-link
-    search per 2-sphere on 4..8 vertices (about 7 s on one thread of a 2-core
-    machine).  `threads` works as for the neighbourly census.
+    search per 2-sphere on 4..8 vertices (about 4.5 s on one thread of a
+    2-core machine).  `threads` works as for the neighbourly census.
     """
     return _census_9(range(4, 9), None, threads)

@@ -353,9 +353,9 @@ def test_alpha_complex_must_have_k_vertices():
     outcome = run(["alpha", "--k", "7", "--complex", "S5"])
     assert outcome.exit_code == 0
     assert outcome.report["data"]["alpha"] == outcome.report["data"]["formula_value"] == 25
-    # without a complex, the census refuses k > 8
-    outcome = run(["alpha", "--k", "9"])
-    assert outcome.exit_code == 1 and "n <= 8" in outcome.report["error"]
+    # without a complex, the census refuses k > 10
+    outcome = run(["alpha", "--k", "11"])
+    assert outcome.exit_code == 1 and "n <= 10" in outcome.report["error"]
 
 
 def test_rejected_inputs_exit_1_without_a_traceback():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from walkup import homology, lemmas, recognition
 from walkup.core import PreconditionError, SimplicialComplex, _iter_bits, from_facets
 from walkup.enumeration import (
+    _FIELD,
     _census_task,
     _ClosureSearch,
     _seed_stars,
@@ -15,12 +17,20 @@ from walkup.enumeration import (
 )
 from walkup.isomorphism import canonical_form
 
-KNOWN_SPHERE_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14}
+KNOWN_SPHERE_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233}
 # (nodes, completions, isomorph rejections): the closure search visits exactly
 # this tree; a search that prunes differently must re-derive it on purpose
 KNOWN_SEARCH_TREES = {
-    4: (2, 1, 0), 5: (6, 2, 0), 6: (23, 6, 2), 7: (129, 22, 10), 8: (1042, 100, 60),
+    4: (2, 1, 0), 5: (6, 2, 0), 6: (23, 6, 2), 7: (124, 22, 10), 8: (990, 100, 60),
+    9: (12218, 605, 375), 10: (215017, 4347, 2424),
 }
+
+
+@lru_cache(maxsize=None)
+def _two_spheres(n: int):
+    """The 2-sphere census on n vertices, run once per session: n = 10 takes
+    seconds."""
+    return enumerate_two_spheres(n)
 
 
 def _vertex_splits(K: SimplicialComplex):
@@ -54,9 +64,9 @@ def _vertex_splits(K: SimplicialComplex):
     return results
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
 def test_two_sphere_census_counts(n):
-    result = enumerate_two_spheres(n)
+    result = _two_spheres(n)
     assert result.counts == {"two_sphere": KNOWN_SPHERE_COUNTS[n]}
     nodes, completions, rejections = KNOWN_SEARCH_TREES[n]
     assert result.stats == {
@@ -74,7 +84,7 @@ def test_two_sphere_census_range():
     with pytest.raises(PreconditionError):
         enumerate_two_spheres(3)
     with pytest.raises(PreconditionError):
-        enumerate_two_spheres(9)
+        enumerate_two_spheres(11)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -206,6 +216,33 @@ def test_closure_search_rejects_a_seal_below_the_anchor_link_type():
     assert search._link_type(b, search.facets) == search.min_type
 
 
+def test_closure_search_refuses_a_pair_seal_below_the_anchor_link_degree():
+    """Vertex 0's link pinned to the hexagonal bipyramid, the cycle 1..6 and
+    the apexes 7 and 8, gives it 12 = 2n - 6 facets at n = 9 and least link
+    degree 4.  The facets 1234, 1345 and 1235 give the pair {1, 3} the
+    triangle 245 as its link, so the last one seals it with 3 facets: it is
+    refused, counted in key_prunes, and the state is left as it was.  At
+    n = 10, where 12 < 2n - 6, no pair bound applies and it is accepted."""
+    star = [1 | 1 << i | 1 << (i % 6 + 1) | 1 << apex for i in range(1, 7) for apex in (7, 8)]
+    facets = (0b11110, 0b111010, 0b101110)
+    search = _ClosureSearch(d=3, max_vertices=9)
+    search.pin(star)
+    assert search.min_type == (12, (4, 4, 4, 4, 4, 4, 6, 6)) and search.min_pair == 4
+    assert all(search.try_add(f) for f in facets[:2])
+    before = (search.facets, search.present, search.open, search.cn, search.pw,
+              search.dead, search.rfull, search.sealed, search.load, search.used)
+    assert not search.try_add(facets[2])
+    assert before == (search.facets, search.present, search.open, search.cn, search.pw,
+                      search.dead, search.rfull, search.sealed, search.load, search.used)
+    assert search.key_prunes == 1 and search.degree_prunes == 0
+
+    search = _ClosureSearch(d=3, max_vertices=10)
+    search.pin(star)
+    assert search.min_seal == 12 and search.min_pair == 0
+    assert all(search.try_add(f) for f in facets)
+    assert search.sealed >> 0b1010 & 1 and search.key_prunes == 0
+
+
 def test_closure_search_refuses_a_pair_link_of_two_triangles():
     """The facets 01ab for the edges ab of two triangles on 234 and 567, the
     path 5-6-7 first, so that the pair {0, 1} stays open until the last one:
@@ -292,10 +329,13 @@ def _check_state(search: _ClosureSearch) -> None:
     """The bounds the ridge cap implies hold: at most 12 facets at a vertex
     (n - 1 in d = 2), at most 7 at a pair, and, in d = 3, no open ridge in a
     pool of `max_facets` facets.  `cn`, `pw`, `dead` and `rfull` match their
-    rebuilds; no open ridge holds a dead vertex; each open ridge's candidate
-    mask is what the per-vertex filter keeps, plus possibly the vertex of the
-    facet holding the ridge; and `_choose` takes the first ridge with at
-    most one candidate, or else the least ridge with fewest."""
+    rebuilds, and so do `sealed`, the pairs with a closed star, and `load`,
+    the facet count at each vertex; no open ridge holds a dead vertex; each
+    open ridge's candidate mask is what the per-vertex filter keeps, plus
+    possibly the vertex of the facet holding the ridge; and `_choose` takes
+    the first ridge with at most one candidate, or else, among the ridges
+    with fewest, one whose most-loaded vertex has the most facets, the
+    least such ridge."""
     facets = list(_iter_bits(search.facets))
     vertex_cap = 12 if search.d == 3 else search.max_vertices - 1
     assert all(sum(f >> b & 1 for f in facets) <= vertex_cap for b in range(9))
@@ -306,6 +346,14 @@ def _check_state(search: _ClosureSearch) -> None:
     assert search.cn == _ridge_word(search, search.present & ~search.open)
     assert search.pw == _ridge_word(search, search.present)
     assert (search.dead, search.rfull) == _dead_and_full(search)
+    open_ = list(_iter_bits(search.open))
+    sealed = [
+        p for p in pairs
+        if any(f & p == p for f in facets) and not any(r & p == p for r in open_)
+    ]
+    assert search.sealed == (sum(1 << p for p in sealed) if search.d == 3 else 0)
+    loads = [sum(f >> b & 1 for f in facets) for b in range(search.max_vertices)]
+    assert search.load == sum(k << _FIELD * b for b, k in enumerate(loads))
     allowed = ((1 << min(search.used + 1, search.max_vertices)) - 1) & ~search.dead
     masks = {}
     for ridge in _iter_bits(search.open):
@@ -322,7 +370,10 @@ def _check_state(search: _ClosureSearch) -> None:
         masks[ridge] = mask
     if masks:
         at_most_one = [r for r in sorted(masks) if masks[r].bit_count() <= 1]
-        expected = at_most_one[0] if at_most_one else min(masks, key=lambda r: (masks[r].bit_count(), r))
+        expected = at_most_one[0] if at_most_one else min(
+            masks,
+            key=lambda r: (masks[r].bit_count(), -max(loads[b] for b in _iter_bits(r)), r),
+        )
         assert search._choose() == (expected, masks[expected])
 
 
@@ -334,10 +385,10 @@ def _check_drops(search: _ClosureSearch) -> int:
     for ridge in _iter_bits(search.open):
         for v in _iter_bits(_basic_keeps(search, ridge) & ~_filter_keeps(search, ridge)):
             before = (search.facets, search.present, search.open, search.cn, search.pw,
-                      search.dead, search.rfull, search.used)
+                      search.dead, search.rfull, search.sealed, search.load, search.used)
             assert not search.try_add(ridge | 1 << v)
             assert before == (search.facets, search.present, search.open, search.cn, search.pw,
-                              search.dead, search.rfull, search.used)
+                              search.dead, search.rfull, search.sealed, search.load, search.used)
             drops += 1
     return drops
 
@@ -459,8 +510,8 @@ def _mass(complexes) -> int:
 def test_full_census_restricts_to_neighbourly_census(full_census, neighbourly_census):
     full = full_census
     assert full.stats == {
-        "nodes": 118352, "completions": 14536, "isomorph_rejections": 12955,
-        "degree_prunes": 9161, "key_prunes": 4520,
+        "nodes": 96742, "completions": 14536, "isomorph_rejections": 12955,
+        "degree_prunes": 9035, "key_prunes": 3844,
     }
     for K in full.complexes:
         assert recognition.is_combinatorial_3_manifold(K)
@@ -479,7 +530,7 @@ def test_full_census_restricts_to_neighbourly_census(full_census, neighbourly_ce
     assert _mass(full.complexes) == observed == 14252
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 10])
 def test_sphere_census_mass_formula(n):
     """Exhaustiveness cross-check by orbit counting: the census pins vertex
     0's link to the cycle 1..k for each least degree k, so the valid n-vertex
@@ -490,14 +541,14 @@ def test_sphere_census_mass_formula(n):
 
     from walkup.isomorphism import automorphism_group
 
-    result = enumerate_two_spheres(n)
+    result = _two_spheres(n)
     observed = result.counts["two_sphere"] + result.stats["isomorph_rejections"]
     predicted = 0
     for K in result.complexes:
         degrees = [K.degree([v]) for v in K.labels]
         k = min(degrees)
         predicted += Fraction(degrees.count(k) * 2 * k, automorphism_group(K).order)
-    assert predicted == observed == {4: 1, 5: 1, 6: 4, 7: 15, 8: 74}[n]
+    assert predicted == observed == {4: 1, 5: 1, 6: 4, 7: 15, 8: 74, 9: 425, 10: 2657}[n]
 
 
 @pytest.mark.slow
@@ -514,8 +565,8 @@ def test_neighbourly_census(k39, neighbourly_census):
     result = neighbourly_census
     assert result.counts == {"total": 51, "sphere": 50, "non_sphere": 1}
     assert result.stats == {
-        "nodes": 10140, "completions": 127, "isomorph_rejections": 76,
-        "degree_prunes": 1685, "key_prunes": 1388,
+        "nodes": 6207, "completions": 127, "isomorph_rejections": 76,
+        "degree_prunes": 1474, "key_prunes": 840,
     }
     non_spheres = [
         K
@@ -544,7 +595,7 @@ def test_neighbourly_census_worker_pool(neighbourly_census):
 def test_neighbourly_census_base_order_invariance(neighbourly_census):
     base = neighbourly_census
     shuffled = enumerate_neighbourly_9_manifolds(label_seed=12345)
-    assert shuffled.stats["nodes"] == 11241
+    assert shuffled.stats["nodes"] == 6198
     for key in ("completions", "isomorph_rejections"):
         assert shuffled.stats[key] == base.stats[key]
     assert base.counts == shuffled.counts
@@ -574,7 +625,7 @@ def test_census_labelling_changes_only_the_tree():
             assert pinned_stats[key] == stats[key]
         nodes["identity"] += stats["nodes"]
         nodes["census"] += pinned_stats["nodes"]
-    assert nodes["census"] < nodes["identity"] == 21314
+    assert nodes["census"] < nodes["identity"] == 6460
 
 
 @pytest.mark.slow
