@@ -196,11 +196,6 @@ def apply_move(K: SimplicialComplex, move: BistellarMove) -> SimplicialComplex:
 # -- degree raising and neighbourly reduction ---------------------------------
 
 
-def vertex_degrees(K: SimplicialComplex) -> dict[str, int]:
-    """Link vertex counts, by label."""
-    return {v: K.degree([v]) for v in K.labels}
-
-
 def _raising_moves(table: _StarTable, um: int) -> list[tuple[int, int, int]]:
     """The 1-moves whose new edge holds the vertex um, in `_StarTable.moves`
     order.  Each removes the triangle a = f ^ um of a facet f through um; two

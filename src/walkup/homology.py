@@ -197,28 +197,20 @@ def _eliminate(
     return pivots, [[row.get(c, 0) for c in cols] for row in core]
 
 
-def _sparse_smith(rows: Iterable[dict[int, int] | tuple[tuple[int, int], ...]]) -> tuple[list[int], int]:
-    """`smith_normal_form` of the matrix with these rows, by `_eliminate`.
-
-    Only multiples of pivot rows were added to other rows, so the matrix is
-    row-equivalent to the pivot rows over the residual rows.  On the pivot
-    columns, in the order the pivots were found, the pivot rows are unit
-    upper-triangular, and the residual rows are zero there.  Column
-    operations therefore clear the pivot rows outside the pivot columns,
-    then reduce that triangle to the identity, without touching the
-    residual rows: the normal form is the block sum of an identity and
-    SNF(residual).
-    """
-    pivots, core = _eliminate(rows)
-    factors, rank = smith_normal_form(core)
-    return [1] * len(pivots) + factors, len(pivots) + rank
-
-
 def homology(K: SimplicialComplex) -> HomologyProfile:
     """H_i = Z^betti_i + torsion, computed from the boundary normal forms.
 
     The edge boundary has rank n - (number of components), and its normal
     form has only factors 1, so H0 is free and the matrix is never built.
+
+    `_eliminate` added only multiples of pivot rows to other rows, so each
+    boundary is row-equivalent to the pivot rows over the residual rows.  On
+    the pivot columns, in the order the pivots were found, the pivot rows
+    are unit upper-triangular, and the residual rows are zero there.  Column
+    operations therefore clear the pivot rows outside the pivot columns,
+    then reduce that triangle to the identity, without touching the
+    residual rows: the normal form is the block sum of an identity and
+    SNF(residual), which gives `ranks[i] = len(pivots) + rank`.
     """
     d = K.dim
     if d < 0:

@@ -16,41 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import PreconditionError, SimplicialComplex, _bits, _components, _subfaces
 
 
-@dataclass(frozen=True)
-class RecognitionReport:
-    is_pure: bool
-    is_pseudomanifold: bool
-    is_closed_surface: bool
-    is_two_sphere: bool
-    is_three_manifold: bool
-    is_neighbourly: bool
-    witnesses: tuple[tuple[str, frozenset[str]], ...] = field(default_factory=tuple)
-
-    def witness_for(self, prop: str) -> frozenset[str] | None:
-        for name, face in self.witnesses:
-            if name == prop:
-                return face
-        return None
-
-    def as_dict(self) -> dict:
-        return {
-            "is_pure": self.is_pure,
-            "is_pseudomanifold": self.is_pseudomanifold,
-            "is_closed_surface": self.is_closed_surface,
-            "is_two_sphere": self.is_two_sphere,
-            "is_three_manifold": self.is_three_manifold,
-            "is_neighbourly": self.is_neighbourly,
-            "witnesses": [[prop, sorted(face)] for prop, face in self.witnesses],
-        }
+def _lead(K: SimplicialComplex) -> frozenset[str]:
+    """The witness of a wrong dimension: the first facet, or the empty face."""
+    return K.face_labels(K.facet_masks[0]) if K.facet_masks else frozenset()
 
 
-def _purity_witness(K: SimplicialComplex) -> int | None:
-    return next((m for m in K.facet_masks if m.bit_count() != K.dim + 1), None)
+def purity_witness(K: SimplicialComplex) -> frozenset[str] | None:
+    bad = next((m for m in K.facet_masks if m.bit_count() != K.dim + 1), None)
+    return None if bad is None else K.face_labels(bad)
 
 
 def _unreached_facet(K: SimplicialComplex) -> int | None:
@@ -71,12 +49,13 @@ def _unreached_facet(K: SimplicialComplex) -> int | None:
 
 
 def pseudomanifold_witness(K: SimplicialComplex) -> frozenset[str] | None:
-    """None when K is a pseudomanifold, else a face witnessing the failure."""
+    """None when K is a pseudomanifold, else a face witnessing the failure.
+    Below dimension 1 every complex is pure, and none is a pseudomanifold."""
     if K.dim < 1:
-        raise PreconditionError("pseudomanifold test needs dimension >= 1")
-    bad = _purity_witness(K)
+        return _lead(K)
+    bad = purity_witness(K)
     if bad is not None:
-        return K.face_labels(bad)
+        return bad
     counts = K.stars(K.dim)[0]
     for rm in sorted(counts):
         if counts[rm] != 2:
@@ -86,6 +65,8 @@ def pseudomanifold_witness(K: SimplicialComplex) -> frozenset[str] | None:
 
 
 def is_pseudomanifold(K: SimplicialComplex) -> bool:
+    if K.dim < 1:
+        raise PreconditionError("pseudomanifold test needs dimension >= 1")
     return pseudomanifold_witness(K) is None
 
 
@@ -127,16 +108,24 @@ def _is_two_sphere_masks(masks: Sequence[int]) -> bool:
 
 def closed_surface_witness(K: SimplicialComplex) -> frozenset[str] | None:
     if K.dim != 2:
-        return K.face_labels(K.facet_masks[0]) if K.facet_masks else frozenset()
+        return _lead(K)
     bad = _surface_defect(K.facet_masks)
     return None if bad is None else K.face_labels(bad)
+
+
+def two_sphere_witness(K: SimplicialComplex) -> frozenset[str] | None:
+    """A closed surface is connected, so it is a 2-sphere when chi = V - F/2 = 2."""
+    bad = closed_surface_witness(K)
+    if bad is None and 2 * K.vertex_count - len(K.facet_masks) != 4:
+        return _lead(K)
+    return bad
 
 
 def is_two_sphere(K: SimplicialComplex) -> bool:
     """Closed connected surface with Euler characteristic 2."""
     if K.dim != 2:
         raise PreconditionError(f"two-sphere test needs dimension 2, got {K.dim}")
-    return _is_two_sphere_masks(K.facet_masks)
+    return two_sphere_witness(K) is None
 
 
 def _singular(K: SimplicialComplex) -> Iterator[str]:
@@ -149,22 +138,27 @@ def _singular(K: SimplicialComplex) -> Iterator[str]:
     return (v for v, link in zip(K.labels, links) if not _is_two_sphere_masks(link))
 
 
+def three_manifold_witness(K: SimplicialComplex) -> frozenset[str] | None:
+    if K.dim != 3:
+        return _lead(K)
+    bad = next(_singular(K), None)
+    return None if bad is None else frozenset([bad])
+
+
 def is_combinatorial_3_manifold(K: SimplicialComplex) -> bool:
     """Every vertex link is a 2-sphere (complete in dimension 3)."""
     if K.dim != 3:
         raise PreconditionError(f"3-manifold test needs dimension 3, got {K.dim}")
-    return next(_singular(K), None) is None
+    return three_manifold_witness(K) is None
 
 
 def is_neighbourly(K: SimplicialComplex) -> bool:
     """Every floor(d/2)+1 vertices span a face; for dimension 3, a complete 1-skeleton."""
-    size = K.dim // 2 + 1
-    if size < 1 or K.vertex_count < size:
-        return True
     return non_neighbourly_witness(K) is None
 
 
 def non_neighbourly_witness(K: SimplicialComplex) -> frozenset[str] | None:
+    """The empty complex has no face at all, so it fails on the empty face."""
     size = K.dim // 2 + 1
     faces = K.stars(size)[0]
     for c in combinations(range(K.vertex_count), size):
@@ -260,52 +254,39 @@ def certify_sphere_via_complement(
 # -- aggregate report ---------------------------------------------------------
 
 
+# One witness per property, in the report's field and witness order; each
+# public `is_*` predicate is its domain check plus its witness being None.
+_WITNESSES: tuple[tuple[str, Callable[[SimplicialComplex], frozenset[str] | None]], ...] = (
+    ("is_pure", purity_witness),
+    ("is_pseudomanifold", pseudomanifold_witness),
+    ("is_closed_surface", closed_surface_witness),
+    ("is_two_sphere", two_sphere_witness),
+    ("is_three_manifold", three_manifold_witness),
+    ("is_neighbourly", non_neighbourly_witness),
+)
+
+
+@dataclass(frozen=True)
+class RecognitionReport:
+    is_pure: bool
+    is_pseudomanifold: bool
+    is_closed_surface: bool
+    is_two_sphere: bool
+    is_three_manifold: bool
+    is_neighbourly: bool
+    witnesses: tuple[tuple[str, frozenset[str]], ...] = field(default_factory=tuple)
+
+    def witness_for(self, prop: str) -> frozenset[str] | None:
+        return dict(self.witnesses).get(prop)
+
+    def as_dict(self) -> dict:
+        data: dict = {prop: getattr(self, prop) for prop, _ in _WITNESSES}
+        data["witnesses"] = [[prop, sorted(face)] for prop, face in self.witnesses]
+        return data
+
+
 def recognition_report(K: SimplicialComplex) -> RecognitionReport:
-    """Evaluate every predicate, recording a witness face for each failure."""
-    witnesses: list[tuple[str, frozenset[str]]] = []
-    lead = K.face_labels(K.facet_masks[0]) if K.facet_masks else frozenset()
-
-    pure_bad = _purity_witness(K)
-    pure = pure_bad is None
-    if not pure:
-        witnesses.append(("is_pure", K.face_labels(pure_bad)))
-
-    # below dimension 1 every complex is pure, and none is a pseudomanifold
-    pm_bad = pseudomanifold_witness(K) if K.dim >= 1 else lead
-    pseudo = pm_bad is None
-    if not pseudo:
-        witnesses.append(("is_pseudomanifold", pm_bad))
-
-    surf_bad = closed_surface_witness(K)
-    closed_surface = surf_bad is None
-    if not closed_surface:
-        witnesses.append(("is_closed_surface", surf_bad))
-
-    # a closed surface is connected, so it is a 2-sphere when chi = V - F/2 = 2
-    two_sphere = closed_surface and 2 * K.vertex_count - len(K.facet_masks) == 4
-    if not two_sphere:
-        witnesses.append(("is_two_sphere", surf_bad if surf_bad is not None else lead))
-
-    if K.dim == 3:
-        bad_vertex = next(_singular(K), None)
-        three_manifold = bad_vertex is None
-        if not three_manifold:
-            witnesses.append(("is_three_manifold", frozenset([bad_vertex])))
-    else:
-        three_manifold = False
-        witnesses.append(("is_three_manifold", lead))
-
-    nb_bad = non_neighbourly_witness(K)
-    neighbourly = nb_bad is None
-    if not neighbourly:
-        witnesses.append(("is_neighbourly", nb_bad))
-
-    return RecognitionReport(
-        is_pure=pure,
-        is_pseudomanifold=pseudo,
-        is_closed_surface=closed_surface,
-        is_two_sphere=two_sphere,
-        is_three_manifold=three_manifold,
-        is_neighbourly=neighbourly,
-        witnesses=tuple(witnesses),
-    )
+    """Evaluate every property, recording a witness face for each failure."""
+    witnesses = tuple((prop, bad) for prop, witness in _WITNESSES if (bad := witness(K)) is not None)
+    failed = dict(witnesses)
+    return RecognitionReport(**{prop: prop not in failed for prop, _ in _WITNESSES}, witnesses=witnesses)

@@ -56,8 +56,8 @@ def test_apply_one_move_f_vector_delta():
     assert ones, "churned spheres should admit 1-moves"
     after = apply_move(K, ones[0])
     assert tuple(b - a for a, b in zip(K.f_vector(), after.f_vector())) == (0, 1, 2, 1)
-    degrees_before = bistellar.vertex_degrees(K)
-    degrees_after = bistellar.vertex_degrees(after)
+    degrees_before = {v: K.degree([v]) for v in K.labels}
+    degrees_after = {v: after.degree([v]) for v in after.labels}
     assert all(degrees_after[v] >= degrees_before[v] for v in K.labels)
 
 
@@ -93,10 +93,10 @@ def test_raise_min_degree_guarantee():
         if recognition.is_neighbourly(K):
             continue
         move = neighbourly_reduction(K)[1][0]
-        degrees = bistellar.vertex_degrees(K)
+        degrees = {v: K.degree([v]) for v in K.labels}
         low = min(degrees.values())
         after = apply_move(K, move)
-        degrees_after = bistellar.vertex_degrees(after)
+        degrees_after = {v: after.degree([v]) for v in after.labels}
         target = min((v for v, d in degrees.items() if d == low))
         assert degrees_after[target] == low + 1
 
@@ -124,11 +124,10 @@ def test_raise_min_degree_matches_the_move_scan():
 def test_raise_min_degree_at_degree_four():
     # starring into an 8-vertex sphere forces a degree-4 minimum vertex
     K = _star_first_facet(random_three_sphere(3, vertices=8), "9")
-    degrees = bistellar.vertex_degrees(K)
+    degrees = {v: K.degree([v]) for v in K.labels}
     assert min(degrees.values()) == 4 == degrees["9"]
     move = neighbourly_reduction(K)[1][0]
-    after = bistellar.vertex_degrees(apply_move(K, move))
-    assert after["9"] == 5
+    assert apply_move(K, move).degree(["9"]) == 5
 
 
 def test_raise_min_degree_preconditions(m10):
@@ -178,9 +177,9 @@ def test_neighbourly_reduction_statistics():
         assert recognition.is_neighbourly(reduced)
         current = K
         for move in moves:
-            degrees = bistellar.vertex_degrees(current)
+            degrees = {v: current.degree([v]) for v in current.labels}
             current = apply_move(current, move)
-            after = bistellar.vertex_degrees(current)
+            after = {v: current.degree([v]) for v in current.labels}
             assert all(after[v] >= degrees[v] for v in degrees)
         assert current == reduced
 
@@ -248,7 +247,7 @@ def test_move_detection_matches_a_frozenset_reference(kernel_pool):
         faces = _ref_faces(F)
         for alpha in faces:
             assert classify_face(K, alpha) == _ref_classify(F, K.dim, alpha), (name, alpha)
-        assert bistellar.vertex_degrees(K) == _ref_degrees(F), name
+        assert {v: K.degree([v]) for v in K.labels} == _ref_degrees(F), name
         if not recognition.is_pseudomanifold(K):
             assert name == "non-pure"
             continue

@@ -11,8 +11,8 @@ from walkup import constructions, homology
 from walkup.core import PreconditionError, from_facets
 from walkup.homology import (
     HomologyProfile,
+    _eliminate,
     _face_boundary,
-    _sparse_smith,
     homology as homology_of,
     smith_normal_form,
 )
@@ -225,6 +225,14 @@ def test_walkup_family_homology():
 
 def _sparse_rows(mat):
     return [{c: x for c, x in enumerate(row) if x} for row in mat]
+
+
+def _sparse_smith(rows):
+    """The normal form as `homology` composes it: an identity block for the
+    unit pivots of `_eliminate`, plus the normal form of its residual core."""
+    pivots, core = _eliminate(rows)
+    factors, rank = smith_normal_form(core)
+    return [1] * len(pivots) + factors, len(pivots) + rank
 
 
 @st.composite

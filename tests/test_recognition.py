@@ -313,6 +313,37 @@ def test_three_manifold_recognition_matches_a_reference(kernel_pool):
     assert names == {"k27+suspension", "k27*S0", "non-pure"}
 
 
+def test_every_predicate_equals_its_report_field(kernel_pool, k39, torus7):
+    """A predicate reads the same witness as the report, so the two agree on
+    every complex, down to the empty link of a facet and two points.  Out of
+    its domain a predicate refuses, and the report field is False."""
+    predicates = {
+        "is_pseudomanifold": recognition.is_pseudomanifold,
+        "is_two_sphere": recognition.is_two_sphere,
+        "is_three_manifold": recognition.is_combinatorial_3_manifold,
+        "is_neighbourly": recognition.is_neighbourly,
+    }
+    empty = k39.link(k39.facets()[0])
+    pool = kernel_pool + [
+        ("k39 lk facet", empty),
+        ("two points", from_facets([{"a"}, {"b"}])),
+        ("cycle:5", constructions.cycle(5)),
+        ("torus7", torus7),
+        ("k39", k39),
+    ]
+    for name, K in pool:
+        report = recognition.recognition_report(K)
+        assert report.is_pure == K.is_pure, name
+        for prop, predicate in predicates.items():
+            try:
+                value = predicate(K)
+            except PreconditionError:
+                value = False
+            assert value == getattr(report, prop), (name, prop)
+            assert (report.witness_for(prop) is None) == value, (name, prop)
+    assert recognition.recognition_report(empty).witness_for("is_neighbourly") == frozenset()
+
+
 def test_surface_recognition_matches_a_reference(kernel_pool, torus7, catalog):
     surfaces = [("torus7", torus7), ("k27", constructions.walkup_complex(2))]
     surfaces += list(catalog.items())
