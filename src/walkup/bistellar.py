@@ -61,9 +61,6 @@ class BistellarMove:
             tuple(sorted((_label_key(v) for v in self.beta))),
         )
 
-    def inverse(self, dim: int) -> "BistellarMove":
-        return BistellarMove(self.beta, self.alpha, dim - self.move_type)
-
     def describe(self) -> str:
         a = ",".join(sorted(self.alpha, key=_label_key))
         b = ",".join(sorted(self.beta, key=_label_key))

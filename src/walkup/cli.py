@@ -60,34 +60,22 @@ def _parse_complex(text: str) -> SimplicialComplex:
 
 
 def _resolve_complex(token: str) -> SimplicialComplex:
+    """`-` reads stdin; a token `constructions.get_complex` builds is that
+    complex; else an existing file of that path is read, and with none the
+    table's error stands."""
     if token == "-":
         return _parse_complex(_read_stdin())
-    if ":" in token:
-        kind, _, arg = token.partition(":")
-        try:
-            value = int(arg)
-        except ValueError:
-            raise PreconditionError(f"parameter of {kind!r} must be an integer, got {arg!r}")
-        if kind == "sphere":
-            return constructions.standard_sphere(value)
-        if kind == "cycle":
-            return constructions.cycle(value)
-        if kind == "walkup":
-            return constructions.walkup_complex(value)
-        if kind == "random9":
-            return bistellar.random_three_sphere(value)
-        raise PreconditionError(f"unknown parametric complex {kind!r}")
     try:
         return constructions.get_complex(token)
     except PreconditionError:
         if not os.path.exists(token):
             raise
-        try:
-            with open(token, encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise PreconditionError(f"cannot read {token}: {exc}") from None
-        return _parse_complex(text)
+    try:
+        with open(token, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read {token}: {exc}") from None
+    return _parse_complex(text)
 
 
 def _parse_face(text: str) -> list[str]:

@@ -1,4 +1,7 @@
-"""Generators for the named complexes used throughout the toolkit.
+"""Generators for the named complexes used throughout the toolkit, and the
+one table of their names: `get_complex` resolves a plain name (S1..S9, calS,
+calT, k39, k27, c37, m10, in any case) or a parametric `kind:N` (sphere,
+cycle, walkup, random9) and builds only the complex asked for.
 
 The 2-sphere catalog S1..S9 keeps the classical vertex labels (x, y, digits)
 so that coclique case analyses can be compared against their published
@@ -10,19 +13,12 @@ trusted as transcriptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations
+from typing import Callable
 
 from . import core
 from .core import PreconditionError, SimplicialComplex, from_facets
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    complex: SimplicialComplex
-    provenance: str
 
 
 def standard_sphere(d: int) -> SimplicialComplex:
@@ -115,51 +111,72 @@ def _explicit(facet_words: list[str]) -> SimplicialComplex:
     return from_facets([set(word) for word in facet_words])
 
 
-def sphere_catalog() -> list[CatalogEntry]:
-    """The 2-sphere catalog: S1..S9 plus the 8-vertex spheres S and T."""
-    s02 = lambda a, b: from_facets([{a}, {b}])  # noqa: E731 - tiny local builder
-    entries = [
-        CatalogEntry("S1", standard_sphere(2).relabel({"1": "a", "2": "b", "3": "c", "4": "d"}),
-                     "boundary of the tetrahedron on {a,b,c,d}"),
-        CatalogEntry("S2", s02("x", "y").join(cycle(3).relabel({"1": "a", "2": "b", "3": "c"})),
-                     "join of S^0_2(x,y) with the triangle boundary on {a,b,c}"),
-        CatalogEntry("S3", _suspension_sphere(5),
-                     "one-point suspension over (x,y) of the 5-cycle x-1-2-3-4"),
-        CatalogEntry("S4", s02("x1", "y1").join(s02("x2", "y2")).join(s02("x3", "y3")),
-                     "octahedron: threefold join of the point pairs (x_i,y_i)"),
-        CatalogEntry("S5", s02("x", "y").join(cycle(5)),
-                     "join of S^0_2(x,y) with the 5-cycle on 1..5"),
-        CatalogEntry("S6", _suspension_sphere(6),
-                     "one-point suspension over (x,y) of the 6-cycle x-1-2-3-4-5"),
-        CatalogEntry("S7", _explicit(_S7_FACETS),
-                     "7-vertex 2-sphere with degree sequence (6,5,5,5,3,3,3), x of degree 6"),
-        CatalogEntry("S8", _explicit(_S8_FACETS),
-                     "7-vertex 2-sphere with degree sequence (6,5,5,4,4,3,3), x of degree 6"),
-        CatalogEntry("S9", _explicit(_S9_FACETS),
-                     "7-vertex 2-sphere with degree sequence (5,5,5,4,4,4,3), x of degree 3"),
-        CatalogEntry("calS", _load_data_complex("calS.facets"),
-                     "checked-in facet list; suspension-type 6-vertex sphere with two starred triangles"),
-        CatalogEntry("calT", _load_data_complex("calT.facets"),
-                     "checked-in facet list; octahedron with two starred triangles"),
-    ]
-    return entries
+def _s0(a: str, b: str) -> SimplicialComplex:
+    """The 0-sphere on the two points a and b."""
+    return from_facets([{a}, {b}])
 
 
-def named_complexes() -> dict[str, SimplicialComplex]:
-    """Every complex the CLI can refer to by name."""
-    table = {entry.name: entry.complex for entry in sphere_catalog()}
-    table["k39"] = walkup_complex(3)
-    table["k27"] = walkup_complex(2)
-    table["c37"] = cyclic_sphere_c37()
-    table["m10"] = connected_sum_c37()
-    return table
+def _random9(seed: int) -> SimplicialComplex:
+    from .bistellar import random_three_sphere  # bistellar is loaded only for random9:SEED
+
+    return random_three_sphere(seed)
 
 
-def get_complex(name: str) -> SimplicialComplex:
-    table = named_complexes()
-    for key, value in table.items():
-        if key.lower() == name.lower():
-            return value
-    raise PreconditionError(
-        f"unknown complex {name!r}; known names: {', '.join(sorted(table))}"
-    )
+# Each plain name, matched in any case, with the builder of its complex.
+NAMED: dict[str, Callable[[], SimplicialComplex]] = {
+    # boundary of the tetrahedron on {a,b,c,d}
+    "S1": lambda: standard_sphere(2).relabel({"1": "a", "2": "b", "3": "c", "4": "d"}),
+    # join of S^0_2(x,y) with the triangle boundary on {a,b,c}
+    "S2": lambda: _s0("x", "y").join(cycle(3).relabel({"1": "a", "2": "b", "3": "c"})),
+    # one-point suspension over (x,y) of the 5-cycle x-1-2-3-4
+    "S3": lambda: _suspension_sphere(5),
+    # octahedron: threefold join of the point pairs (x_i,y_i)
+    "S4": lambda: _s0("x1", "y1").join(_s0("x2", "y2")).join(_s0("x3", "y3")),
+    # join of S^0_2(x,y) with the 5-cycle on 1..5
+    "S5": lambda: _s0("x", "y").join(cycle(5)),
+    # one-point suspension over (x,y) of the 6-cycle x-1-2-3-4-5
+    "S6": lambda: _suspension_sphere(6),
+    # 7-vertex 2-sphere with degree sequence (6,5,5,5,3,3,3), x of degree 6
+    "S7": lambda: _explicit(_S7_FACETS),
+    # 7-vertex 2-sphere with degree sequence (6,5,5,4,4,3,3), x of degree 6
+    "S8": lambda: _explicit(_S8_FACETS),
+    # 7-vertex 2-sphere with degree sequence (5,5,5,4,4,4,3), x of degree 3
+    "S9": lambda: _explicit(_S9_FACETS),
+    # checked-in facet list; suspension-type 6-vertex sphere with two starred triangles
+    "calS": lambda: _load_data_complex("calS.facets"),
+    # checked-in facet list; octahedron with two starred triangles
+    "calT": lambda: _load_data_complex("calT.facets"),
+    "k39": lambda: walkup_complex(3),
+    "k27": lambda: walkup_complex(2),
+    "c37": cyclic_sphere_c37,
+    "m10": connected_sum_c37,
+}
+_BY_KEY = {name.lower(): build for name, build in NAMED.items()}
+
+# Each parametric kind, spelled `kind:N`, with its constructor.
+KINDS: dict[str, Callable[[int], SimplicialComplex]] = {
+    "sphere": standard_sphere,
+    "cycle": cycle,
+    "walkup": walkup_complex,
+    "random9": _random9,
+}
+
+
+def get_complex(token: str) -> SimplicialComplex:
+    """The complex a name stands for, built alone: `kind:N` for a kind in
+    `KINDS`, else a plain name of `NAMED` in any case."""
+    kind, sep, arg = token.partition(":")
+    if sep and kind in KINDS:
+        try:
+            value = int(arg)
+        except ValueError:
+            raise PreconditionError(
+                f"parameter of {kind!r} must be an integer, got {arg!r}"
+            ) from None
+        return KINDS[kind](value)
+    build = _BY_KEY.get(token.lower())
+    if build is None:
+        raise PreconditionError(
+            f"unknown complex {token!r}; known names: {', '.join(sorted(NAMED))}"
+        )
+    return build()

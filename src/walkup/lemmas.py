@@ -20,8 +20,9 @@ from importlib import resources
 from itertools import combinations
 
 from . import recognition
+from .constructions import get_complex
 from .core import PreconditionError, SimplicialComplex, _antichain, _label_key, _subfaces
-from .isomorphism import automorphism_group, normalize_object, orbits
+from .isomorphism import are_isomorphic, automorphism_group, normalize_object, orbits
 
 VertexSet = frozenset[str]
 SetFamily = frozenset[VertexSet]
@@ -29,8 +30,8 @@ SetFamily = frozenset[VertexSet]
 
 @dataclass(frozen=True)
 class CandidateGraph:
-    base: SimplicialComplex
     nodes: tuple[VertexSet, ...]
+    masks: tuple[int, ...]  # each node's vertex mask, in node order
     adjacency: tuple[tuple[int, ...], ...]
 
     @property
@@ -48,6 +49,7 @@ class CocliqueCensus:
     analysis, and they are what the published case lists enumerate.
     """
 
+    graph: CandidateGraph
     by_size: dict[int, list[SetFamily]]
     covering_orbit_reps: dict[int, list[SetFamily]]
 
@@ -83,22 +85,24 @@ def candidate_graph(X: SimplicialComplex) -> CandidateGraph:
     if X.dim != 2 or not recognition.is_two_sphere(X):
         raise PreconditionError("candidate graph needs a combinatorial 2-sphere")
     triangles = set(X.faces_masks(2))
-    nodes: list[tuple[VertexSet, set[int]]] = []
+    nodes: list[tuple[VertexSet, int, set[int]]] = []
     for combo in combinations(range(X.vertex_count), 4):
         mask = sum(1 << b for b in combo)
         inside = {t for t in triangles if t & mask == t}
         if len(inside) in (1, 2):
-            nodes.append((X.face_labels(mask), inside))
+            nodes.append((X.face_labels(mask), mask, inside))
     nodes.sort(key=lambda item: tuple(sorted((_label_key(v) for v in item[0]))))
     adjacency = tuple(
         tuple(
             j
-            for j, (_, other) in enumerate(nodes)
+            for j, (_, _, other) in enumerate(nodes)
             if j != i and inside & other
         )
-        for i, (_, inside) in enumerate(nodes)
+        for i, (_, _, inside) in enumerate(nodes)
     )
-    return CandidateGraph(X, tuple(face for face, _ in nodes), adjacency)
+    return CandidateGraph(
+        tuple(face for face, _, _ in nodes), tuple(mask for _, mask, _ in nodes), adjacency
+    )
 
 
 def alpha(X: SimplicialComplex) -> int:
@@ -147,18 +151,13 @@ def _maximal_cocliques(graph: CandidateGraph) -> list[frozenset[int]]:
     return found
 
 
-def covers_all_triangles(X: SimplicialComplex, family) -> bool:
-    """Does the family contain every triangle of X in some member?
+def covers_all_triangles(X: SimplicialComplex, masks: list[int]) -> bool:
+    """Does some member, given by its vertex mask, contain each triangle of X?
 
     Within a coclique members share no triangle, so covering means each
     triangle lies in exactly one member.
     """
-    triangles = set(X.faces_masks(2))
-    covered = set()
-    for node in family:
-        mask = X.mask_of(node)
-        covered.update(t for t in triangles if t & mask == t)
-    return covered == triangles
+    return all(any(t & m == t for m in masks) for t in X.faces_masks(2))
 
 
 def coclique_census(X: SimplicialComplex) -> CocliqueCensus:
@@ -168,22 +167,18 @@ def coclique_census(X: SimplicialComplex) -> CocliqueCensus:
         raise PreconditionError("coclique census covers 2-spheres on 5..7 vertices")
     graph = candidate_graph(X)
     group = automorphism_group(X)
-    families = [
-        frozenset(graph.nodes[i] for i in clique)
-        for clique in _maximal_cocliques(graph)
-    ]
     by_size: dict[int, list[SetFamily]] = {}
-    for fam in families:
+    covering: dict[int, list[SetFamily]] = {}
+    for clique in _maximal_cocliques(graph):
+        fam = frozenset(graph.nodes[i] for i in clique)
         by_size.setdefault(len(fam), []).append(fam)
-    covering = {
-        s: [f for f in fams if covers_all_triangles(X, f)] for s, fams in by_size.items()
-    }
+        if covers_all_triangles(X, [graph.masks[i] for i in clique]):
+            covering.setdefault(len(fam), []).append(fam)
     covering_orbit_reps = {
         s: [orb.representative for orb in orbits(group, fams)]
         for s, fams in covering.items()
-        if fams
     }
-    return CocliqueCensus(by_size, covering_orbit_reps)
+    return CocliqueCensus(graph, by_size, covering_orbit_reps)
 
 
 # -- facet degree ledger and the 28/29 dichotomy -------------------------------
@@ -328,9 +323,6 @@ def verify_good_vertex_links(K: SimplicialComplex) -> LemmaReport:
     """Every good vertex has link isomorphic to the catalog sphere calS.
     Good-vertex partitions biject with disjoint facet pairs by construction
     (see `good_vertices`)."""
-    from .constructions import get_complex
-    from .isomorphism import are_isomorphic
-
     _require_neighbourly_9(K, "the good-vertex link check")
     cal_s = get_complex("calS")
     cal_t = get_complex("calT")
@@ -364,8 +356,6 @@ def load_coclique_cases() -> dict:
 
 def coclique_case_check(sphere_name: str) -> LemmaReport:
     """Compare the coclique census of a catalog labeling with its case list."""
-    from .constructions import get_complex
-
     cases = load_coclique_cases()
     if sphere_name not in cases:
         raise PreconditionError(
@@ -386,7 +376,7 @@ def coclique_case_check(sphere_name: str) -> LemmaReport:
 
     compare_sizes = tuple(spec["compare_sizes"])
     census = coclique_census(X)
-    graph_nodes = set(candidate_graph(X).nodes)
+    graph_nodes = set(census.graph.nodes)
 
     # Every published case must itself be a covering maximal coclique.
     case_reps: dict[str, SetFamily] = {}
@@ -398,7 +388,7 @@ def coclique_case_check(sphere_name: str) -> LemmaReport:
         if fam not in census.by_size.get(len(fam), []):
             violations.append(f"case {case_name} is not a maximal coclique")
             continue
-        if not covers_all_triangles(X, fam):
+        if not covers_all_triangles(X, [X.mask_of(node) for node in fam]):
             violations.append(f"case {case_name} does not cover every triangle")
             continue
         case_reps[case_name] = orbits(group, [fam])[0].representative

@@ -14,7 +14,9 @@ settings.load_profile("walkup")
 
 @pytest.fixture(scope="session")
 def catalog():
-    return {entry.name: entry.complex for entry in constructions.sphere_catalog()}
+    """The 2-sphere catalog, S1..S9, calS and calT, from the name table."""
+    names = [name for name in constructions.NAMED if name.startswith(("S", "cal"))]
+    return {name: constructions.get_complex(name) for name in names}
 
 
 @pytest.fixture(scope="session")

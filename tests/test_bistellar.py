@@ -67,7 +67,8 @@ def test_move_inverse_round_trip(k39, c37):
         base = canonical_form(K).bytes
         for move in proper_moves(K)[:8]:
             forward = apply_move(K, move)
-            back = apply_move(forward, move.inverse(K.dim))
+            inverse = BistellarMove(move.beta, move.alpha, K.dim - move.move_type)
+            back = apply_move(forward, inverse)
             assert canonical_form(back).bytes == base
 
 

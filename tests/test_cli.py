@@ -109,16 +109,21 @@ def test_malformed_complex_input_exits_1(tmp_path, case):
         assert "Traceback" not in piped.stderr
 
 
-def test_bistellar_imports_only_what_it_needs():
-    """Loading `walkup.bistellar`, the reduction's entry point, imports no
-    other walkup module: each one costs milliseconds of start-up."""
+def _modules_loaded_by(module: str) -> list[str]:
+    """The walkup modules a fresh interpreter holds after importing `module`."""
     probe = _invoke_python(
         "-c",
-        "import sys, walkup.bistellar; "
+        f"import sys, {module}; "
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'walkup')))"
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.split() == [
+    return probe.stdout.split()
+
+
+def test_bistellar_imports_only_what_it_needs():
+    """Loading `walkup.bistellar`, the reduction's entry point, imports no
+    other walkup module: each one costs milliseconds of start-up."""
+    assert _modules_loaded_by("walkup.bistellar") == [
         "walkup", "walkup.bistellar", "walkup.core", "walkup.recognition",
     ]
 
@@ -126,14 +131,16 @@ def test_bistellar_imports_only_what_it_needs():
 def test_enumeration_imports_only_what_it_needs():
     """Loading `walkup.enumeration` imports only the modules the census
     runs: the core kernels, canonical forms and homology."""
-    probe = _invoke_python(
-        "-c",
-        "import sys, walkup.enumeration; "
-        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'walkup')))"
-    )
-    assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.split() == [
+    assert _modules_loaded_by("walkup.enumeration") == [
         "walkup", "walkup.core", "walkup.enumeration", "walkup.homology", "walkup.isomorphism",
+    ]
+
+
+def test_constructions_imports_only_what_it_needs():
+    """Loading `walkup.constructions`, the name table, leaves
+    `walkup.bistellar` unloaded until a `random9:SEED` is built."""
+    assert _modules_loaded_by("walkup.constructions") == [
+        "walkup", "walkup.constructions", "walkup.core",
     ]
 
 
@@ -363,6 +370,25 @@ def test_rejected_inputs_exit_1_without_a_traceback():
         done = _invoke(*argv)
         assert done.returncode == 1, argv
         assert done.stdout.startswith("error: ") and done.stderr == "", argv
+
+
+def test_paths_with_a_colon_read_as_files(tmp_path):
+    """A token whose text before `:` is no known kind is a file path; with no
+    such file it is an unknown complex, and a known kind keeps its messages."""
+    path = tmp_path / "a:b.facets"
+    path.write_text(_invoke("gen", "c37").stdout)
+    done = _invoke("info", str(path), "--json")
+    assert done.returncode == 0 and done.stderr == "", done.stdout
+    assert json.loads(done.stdout)["data"]["f_vector"] == [7, 21, 28, 14]
+    for token, message in [
+        ("foo:3", "unknown complex 'foo:3'"),
+        ("sphere:x", "parameter of 'sphere' must be an integer, got 'x'"),
+        ("sphere:-1", "standard sphere dimension -1 out of range 0..13"),
+        ("walkup:7", "walkup complex needs 2 <= d <= 6, got 7"),
+    ]:
+        done = _invoke("info", token)
+        assert done.returncode == 1, token
+        assert done.stdout.startswith("error: " + message) and done.stderr == "", token
 
 
 def test_moves_apply_cli():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+from collections import Counter
+
 import networkx as nx
 import pytest
 
@@ -144,3 +147,38 @@ def test_get_complex_names(k39):
     assert constructions.get_complex("K39") == k39
     with pytest.raises(PreconditionError):
         constructions.get_complex("nosuch")
+
+
+# SHA-256 of (token, labels, facet masks) over every plain name and a sample of
+# each kind: a builder or a lookup that changes any label or facet shows here.
+_RESOLVED_DIGEST = "dc075dd6c58d72e312e2a89fa35c66d8e1773a345032bf10fcc7ea91f8292aad"
+
+
+def test_every_name_and_kind_resolves_as_pinned():
+    names = ["S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "S9", "calS", "calT",
+             "k39", "k27", "c37", "m10"]
+    kinds = ["sphere:0", "sphere:3", "cycle:3", "cycle:9", "walkup:2", "walkup:4",
+             "random9:5", "random9:-3"]
+    assert sorted(constructions.NAMED) == sorted(names)
+    assert set(constructions.KINDS) == {"sphere", "cycle", "walkup", "random9"}
+    digest = hashlib.sha256()
+    for token in names + kinds:
+        K = constructions.get_complex(token)
+        if ":" not in token:
+            for variant in (token.upper(), token.lower(), token.swapcase()):
+                assert constructions.get_complex(variant) == K, variant
+        digest.update(repr((token, K.labels, K.facet_masks)).encode())
+    assert digest.hexdigest() == _RESOLVED_DIGEST
+
+
+def test_one_lookup_builds_one_complex(monkeypatch):
+    calls = Counter()
+    for name in ("walkup_complex", "connected_sum_c37"):
+        def counted(*args, _real=getattr(constructions, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(constructions, name, counted)
+    assert constructions.get_complex("calS").vertex_count == 8
+    assert calls == {}
+    assert constructions.get_complex("K39").vertex_count == 9
+    assert calls == {"walkup_complex": 1}

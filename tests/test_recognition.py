@@ -284,7 +284,8 @@ def test_recognition_reports_are_frozen(k39, torus7, rp2):
     (an edge in one triangle), two disjoint or pinched tetrahedron
     boundaries (a disconnected whole or vertex link) and a non-pure one."""
     expected = json.loads((Path(__file__).parent / "recognition_reports.json").read_text())
-    pool = dict(constructions.named_complexes(), torus7=torus7, rp2=rp2)
+    pool = {name: build() for name, build in constructions.NAMED.items()}
+    pool.update(torus7=torus7, rp2=rp2)
     pool["k39-facet"] = from_facets(k39.facets()[1:])
     pool["k27-facet"] = from_facets(constructions.walkup_complex(2).facets()[1:])
     tet = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
