@@ -157,11 +157,6 @@ class SimplicialComplex:
     def vertex_count(self) -> int:
         return len(self.labels)
 
-    @property
-    def is_pure(self) -> bool:
-        sizes = {m.bit_count() for m in self.facet_masks}
-        return len(sizes) <= 1
-
     def mask_of(self, face: Face) -> int:
         mask = 0
         for lab in face:

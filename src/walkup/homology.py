@@ -1,11 +1,11 @@
 """Integer simplicial homology via Smith normal form.
 
 Face boundaries carry signs from the ascending-vertex orientation.
-`homology` never builds the edge boundary: its rank is n minus the number
-of components, and H0 is free.  For the boundaries of higher faces it
-reduces each face's signed boundary (cached per face mask, keyed by the
-masks of its boundary faces) as it arrives against a table mapping each
-pivot column to the row holding 1 there (Dumas, Heckenbach, Saunders and
+`homology` runs one loop over every boundary, the edges' too (its
+docstring says why the edges leave no residual rows).  It reduces each
+face's signed boundary (cached per face mask, keyed by the masks of its
+boundary faces) as it arrives against a table mapping each pivot column
+to the row holding 1 there (Dumas, Heckenbach, Saunders and
 Welker, Computing simplicial homology based on efficient Smith normal form
 algorithms, 2003).  A row left with a +-1 entry becomes a pivot, with
 invariant factor 1, and boundary matrices of manifolds are nearly all such
@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable
 
-from .core import PreconditionError, SimplicialComplex, _bits, _components
+from .core import PreconditionError, SimplicialComplex, _bits
 
 Matrix = list[list[int]]
 
@@ -198,10 +198,8 @@ def _eliminate(
 
 
 def homology(K: SimplicialComplex) -> HomologyProfile:
-    """H_i = Z^betti_i + torsion, computed from the boundary normal forms.
-
-    The edge boundary has rank n - (number of components), and its normal
-    form has only factors 1, so H0 is free and the matrix is never built.
+    """H_i = Z^betti_i + torsion, computed from the boundary normal forms,
+    reduced in one loop from the top faces down to the edges.
 
     `_eliminate` added only multiples of pivot rows to other rows, so each
     boundary is row-equivalent to the pivot rows over the residual rows.  On
@@ -211,16 +209,21 @@ def homology(K: SimplicialComplex) -> HomologyProfile:
     then reduce that triangle to the identity, without touching the
     residual rows: the normal form is the block sum of an identity and
     SNF(residual), which gives `ranks[i] = len(pivots) + rank`.
+
+    The edge boundary leaves no residual: each row is +-(e_u - e_w), and
+    clearing a column with a pivot row of that form leaves a row of that
+    form or zero, so every non-zero row becomes a pivot.  Its rank is thus
+    n less the number of components, and H0 is free.  A neighbourly 9-vertex
+    3-sphere keeps 8 of its 36 edge rows after clearing.
     """
     d = K.dim
     if d < 0:
         raise PreconditionError("homology of the empty complex is undefined")
     fvec = K.f_vector()
     ranks = [0] * (d + 2)
-    ranks[1] = K.vertex_count - _components(K.facet_masks)
     torsion: list[tuple[int, ...]] = [()] * (d + 1)
     pivots: dict[int, dict[int, int]] = {}
-    for i in range(d, 1, -1):
+    for i in range(d, 0, -1):
         # the rows are the i-faces (the transpose, with the same factors),
         # less those that were pivot columns of the boundary one dimension up
         rows = [_face_boundary(cm) for cm in K.faces_masks(i) if cm not in pivots]

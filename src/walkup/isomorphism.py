@@ -1,13 +1,13 @@
 """Canonical forms, isomorphism tests, automorphism groups and orbits.
 
-The canonical form is computed by individualization-refinement.  Vertices
-are partitioned by an isomorphism-invariant signature (vertex degree plus
-the multiset of incident edge degrees) and refined against pairwise edge
-degrees.  Ties are resolved by a search tree: each node individualises one
-vertex of its first non-singleton cell and refines again.  At a leaf every
-cell is a single vertex, and the leaf's encoding is the sorted list of facet
-masks over the vertices' positions.  The canonical form is the least
-encoding over all leaves of the tree.
+The canonical form is computed by individualization-refinement.  The root
+is the one cell of all vertices, refined against pairwise edge degrees; the
+first pass orders the cells by vertex degree, then by the multiset of
+incident edge degrees (see `_pair_degrees`).  Ties are resolved by a search
+tree: each node individualises one vertex of its first non-singleton cell
+and refines again.  At a leaf every cell is a single vertex, and the leaf's
+encoding is the sorted list of facet masks over the vertices' positions.
+The canonical form is the least encoding over all leaves of the tree.
 
 An automorphism maps the tree onto itself and keeps encodings, so two
 leaves with one encoding differ by an automorphism; a leaf that equals the
@@ -85,18 +85,16 @@ class PermutationGroup:
 
 
 def _pair_degrees(K: SimplicialComplex) -> list[list[int]]:
-    """deg({v,w}) for every edge, -1 for non-edges; diagonal holds deg(v).
-
-    One pass over the facets' pairs; deg(v), the vertex count of v's link,
-    is the number of v's neighbours, as every link vertex spans an edge
-    with v."""
+    """deg({v,w}) for every edge, -1 for non-edges, in one pass over the
+    facets' pairs.  Edge degrees are at least 0, so v's row, sorted without
+    its diagonal, leads with one -1 per non-neighbour and then lists v's
+    incident edge degrees in order: sorted rows order the vertices by degree,
+    then by their sorted incident edge degrees.  The diagonal is never read."""
     n = K.vertex_count
     pd = [[-1] * n for _ in range(n)]
     for face, union in K.stars(2)[1].items():
         v, w = (face & -face).bit_length() - 1, face.bit_length() - 1
         pd[v][w] = pd[w][v] = union.bit_count() - 2
-    for v, row in enumerate(pd):
-        row[v] = n - row.count(-1)  # the -1s are the non-neighbours and v itself
     return pd
 
 
@@ -184,11 +182,7 @@ def _search(K: SimplicialComplex, stop: tuple[int, ...] | None = None) -> Search
     n = K.vertex_count
     verts = [_bits(fm) for fm in K.facet_masks]
     pd = _pair_degrees(K)
-    base: dict[tuple, list[int]] = {}
-    for v in range(n):
-        key = (pd[v][v], tuple(sorted(d for w, d in enumerate(pd[v]) if w != v and d >= 0)))
-        base.setdefault(key, []).append(v)
-    root = _refine([sorted(base[k]) for k in sorted(base)], pd, [True] * len(base))
+    root = _refine([list(range(n))], pd, [True])
 
     first_path: list[int] = []
     best: list = []  # [encoding, order, path] of the least leaf so far
@@ -253,9 +247,10 @@ def canonical_form(K: SimplicialComplex) -> CanonicalForm:
 
 
 def canonical_relabel(K: SimplicialComplex) -> SimplicialComplex:
-    """The canonical representative itself, on labels '0'..'n-1'."""
-    cf = canonical_form(K)
-    return K.relabel({lab: str(cid) for lab, cid in cf.relabeling.items()})
+    """The canonical representative itself, on labels '0'..'n-1': the least
+    encoding is its facet masks, sorted, over positions that these labels
+    take in label order."""
+    return SimplicialComplex(_searched(K)[0], tuple(map(str, range(K.vertex_count))))
 
 
 def are_isomorphic(

@@ -228,8 +228,8 @@ COMPLEMENT_FVECTORS = ((5, 10, 7, 1), (5, 10, 6, 0))
 
 
 def verify_complement_dichotomy(K: SimplicialComplex) -> LemmaReport:
-    """Every facet complement has f-vector (5,10,7,1) or (5,10,6,0),
-    Euler characteristic 1, and is not collapsible."""
+    """Every facet complement has f-vector (5,10,7,1) or (5,10,6,0), which
+    fixes its Euler characteristic at 1, and is not collapsible."""
     _require_neighbourly_9(K, "the complement dichotomy")
     violations = []
     seen = {fv: 0 for fv in COMPLEMENT_FVECTORS}
@@ -242,8 +242,6 @@ def verify_complement_dichotomy(K: SimplicialComplex) -> LemmaReport:
             violations.append(f"complement of {label} has f-vector {fv}")
             continue
         seen[fv] += 1
-        if comp.euler_characteristic() != 1:
-            violations.append(f"complement of {label} has chi != 1")
         collapsible, _ = recognition.is_collapsible(comp)
         if collapsible:
             violations.append(f"complement of {label} is collapsible")
@@ -307,7 +305,7 @@ def good_vertices(K: SimplicialComplex) -> list[GoodVertex]:
     Two disjoint facets of a pure 9-vertex 3-complex leave exactly one
     vertex, so every disjoint facet pair is a partition of one good vertex.
     """
-    if K.vertex_count != 9 or K.dim != 3 or not K.is_pure:
+    if K.vertex_count != 9 or K.dim != 3 or recognition.purity_witness(K):
         raise PreconditionError("good-vertex scan expects a pure 9-vertex 3-complex")
     by_vertex: dict[int, list[tuple[VertexSet, VertexSet]]] = {}
     for f, g, x in _disjoint_pairs(K):

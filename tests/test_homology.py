@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkup import constructions, homology
-from walkup.core import PreconditionError, from_facets
+from walkup.core import PreconditionError, _components, from_facets
 from walkup.homology import (
     HomologyProfile,
     _eliminate,
@@ -303,7 +303,7 @@ def test_cleared_homology_on_the_censuses(neighbourly_census, two_sphere_census,
     neighbourly class, the 2-sphere census, RP^2 and k39, which have
     torsion, and the one-point suspension of k27, a non-manifold.  On a
     neighbourly 3-sphere the triangle boundary is reduced on 28 rows, its
-    rank, not on all 54."""
+    rank, not on all 54, and the edge boundary on 8 of its 36."""
     k27s = constructions.walkup_complex(2).one_point_suspension("1", "s")
     complexes = list(neighbourly_census.complexes) + two_sphere_census + [rp2, k39, k27s]
     for K in complexes:
@@ -320,7 +320,21 @@ def test_cleared_homology_on_the_censuses(neighbourly_census, two_sphere_census,
     monkeypatch.setattr(homology, "_eliminate", counted)
     for K in spheres:
         homology_of(K)
-    assert row_counts == [27, 28] * 50  # the tetrahedra, then the triangles less 26 cleared
+    # the tetrahedra, the triangles less 26 cleared, the edges less 28 cleared
+    assert row_counts == [27, 28, 8] * 50
+
+
+def test_every_edge_boundary_leaves_no_residual(kernel_pool, two_sphere_census):
+    """An edge row stays +-(e_u - e_w) under elimination, so it becomes a
+    pivot or vanishes: the core is empty, and the pivots, n less the number
+    of components, give the rank of the edge boundary that makes H0 free.
+    The pool holds RP^2, torus, non-manifold and non-pure complexes."""
+    pool = kernel_pool + [(f"two-sphere {i}", K) for i, K in enumerate(two_sphere_census)]
+    for name, K in pool:
+        pivots, core = _eliminate(_face_boundary(e) for e in K.faces_masks(1))
+        assert core == [], name
+        assert all(sorted(row.values()) == [-1, 1] for row in pivots.values()), name
+        assert len(pivots) == K.vertex_count - _components(K.facet_masks), name
 
 
 # Entries of this matrix grow to millions of bits under remainder-swap
